@@ -94,71 +94,6 @@ let ranks_arg =
           "Simulated MPI rank count for the dist target (default 4). \
            Requires --target dist.")
 
-let dist_mode_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("overlap", Fsc_dmp.Dist_exec.Overlap);
-             ("blocking", Fsc_dmp.Dist_exec.Blocking) ])
-        Fsc_dmp.Dist_exec.Overlap
-    & info [ "dist-mode" ] ~docv:"MODE"
-        ~doc:
-          "Halo-exchange superstep shape for the dist target: overlap \
-           (default; interior computed while halos are in flight) or \
-           blocking (exchange completes before the sweep starts).")
-
-let dist_no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "dist-no-fuse" ]
-        ~doc:
-          "Disable superstep fusion for the dist target: exchange halos \
-           every superstep even when they are already fresh (one halo \
-           swap per stage, the pre-fusion schedule). Bitwise-identical \
-           results; for differential testing and ablation.")
-
-let dist_no_coalesce_arg =
-  Arg.(
-    value & flag
-    & info [ "dist-no-coalesce" ]
-        ~doc:
-          "Disable halo-message coalescing for the dist target: send one \
-           message per field per direction instead of one per neighbour \
-           per superstep. Bitwise-identical results; for differential \
-           testing and ablation.")
-
-let dist_no_footprint_arg =
-  Arg.(
-    value & flag
-    & info [ "dist-no-footprint" ]
-        ~doc:
-          "Disable footprint-aware halo staling for the dist target: \
-           every write stales its field's halos, even when the affine \
-           write footprint provably never reaches a block-boundary \
-           plane. Bitwise-identical results; for differential testing \
-           and ablation.")
-
-let native_no_tile_arg =
-  Arg.(
-    value & flag
-    & info [ "native-no-tile" ]
-        ~doc:
-          "Disable intra-nest scheduling in the native engine's emitted \
-           code: no blocked loops from the L2 tile hint, no rolling \
-           register windows, no row-blit copies. Bitwise-identical \
-           results; for differential testing and ablation.")
-
-let native_no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "native-no-fuse" ]
-        ~doc:
-          "Disable cross-nest fusion in the native engine's emitted \
-           code: consecutive nests keep separate loop bodies even when \
-           their footprints prove fusion legal. Bitwise-identical \
-           results; for differential testing and ablation.")
-
 (* [--ranks] refines the dist target the same way [--threads] refines
    openmp; pairing it with any other target is an error, not a no-op. *)
 let apply_ranks target ranks =
@@ -454,13 +389,10 @@ let compile_cmd =
 let print_dist_stats dst =
   let module Dk = Fsc_dmp.Dist_kernel in
   let s = Dk.stats dst in
-  Printf.eprintf "dist: %d ranks, %s supersteps, %s engine%s%s%s\n"
+  Printf.eprintf "dist: %d ranks, %s supersteps, %s engine\n"
     s.Dk.ds_ranks
     (Fsc_dmp.Dist_exec.mode_name s.Dk.ds_mode)
-    (Dk.engine_name s.Dk.ds_engine)
-    (if s.Dk.ds_fuse then "" else ", fusion off")
-    (if s.Dk.ds_coalesce then "" else ", coalescing off")
-    (if s.Dk.ds_footprint then "" else ", footprint staling off");
+    (Dk.engine_name s.Dk.ds_engine);
   if s.Dk.ds_stales_avoided > 0 then
     Printf.eprintf
       "dist: %d halo stale(s) avoided by footprint analysis (interior \
@@ -510,9 +442,8 @@ let print_dist_stats dst =
     s.Dk.ds_groups
 
 let run_cmd =
-  let run file target threads ranks dist_mode dist_no_fuse dist_no_coalesce
-      dist_no_footprint engine native_no_tile native_no_fuse cache_flag
-      cache_dir cache_mb stats trace =
+  let run file target threads ranks engine cache_flag cache_dir cache_mb stats
+      trace =
     let* target = resolve_target target threads in
     let* target = apply_ranks target ranks in
     let src = read_file file in
@@ -543,13 +474,7 @@ let run_cmd =
     let outcome =
       try
         let ca, cache_outcome = Cc.compile ?cache options src in
-        let a =
-          P.link ~engine ?native ~native_tile:(not native_no_tile)
-            ~native_fuse:(not native_no_fuse) ~dist_mode
-            ~dist_fuse:(not dist_no_fuse)
-            ~dist_coalesce:(not dist_no_coalesce)
-            ~dist_footprint:(not dist_no_footprint) ca
-        in
+        let a = P.link ~engine ?native ca in
         Fun.protect
           ~finally:(fun () -> P.shutdown a)
           (fun () ->
@@ -618,10 +543,8 @@ let run_cmd =
     Term.(
       term_result
         (const run $ file_arg $ target_arg $ threads_arg $ ranks_arg
-        $ dist_mode_arg $ dist_no_fuse_arg $ dist_no_coalesce_arg
-        $ dist_no_footprint_arg $ engine_arg $ native_no_tile_arg
-        $ native_no_fuse_arg $ cache_flag $ cache_dir_arg $ cache_mb_arg
-        $ stats_arg $ trace_arg))
+        $ engine_arg $ cache_flag $ cache_dir_arg $ cache_mb_arg $ stats_arg
+        $ trace_arg))
 
 (* ---- check ---- *)
 

@@ -5,7 +5,7 @@
    families are applied at emit time, every one of them value-preserving
    down to the bit pattern:
 
-   Intra-nest scheduling ([o_tile]):
+   Intra-nest scheduling:
    - cache tiling: a nest carrying the L2-derived ["cpu_tile"] rows
      hint ({!Fsc_lowering.Loop_tiling.annotate_cpu}) gets its first
      sequential level emitted as blocked loops with the tile bound a
@@ -33,7 +33,7 @@
      loop. Unrolling replicates the body in iteration order, so it is
      valid for any dependence pattern and cannot reorder a float op.
 
-   Inter-nest fusion ([o_fuse]), over consecutive nests with identical
+   Inter-nest fusion, over consecutive nests with identical
    loop structures:
    - aligned fusion: nests whose only shared written buffers are
      accessed through one single per-cell bijective index (each loop
@@ -71,13 +71,6 @@
    already makes. *)
 
 module Kc = Fsc_rt.Kernel_compile
-
-type options = {
-  o_tile : bool;  (* intra-nest: blocking, rolling windows, row blits *)
-  o_fuse : bool;  (* inter-nest: aligned + shifted fusion *)
-}
-
-let default_options = { o_tile = true; o_fuse = true }
 
 type group_kind =
   | G_single
@@ -369,7 +362,7 @@ type plan_group = {
    aligned group while legal; when an aligned extension of a single
    nest fails, try a shifted pair; otherwise start a new group.
    Shift-fused groups are closed immediately (pairs only). *)
-let plan_groups ~options statuses =
+let plan_groups statuses =
   let groups = ref [] and refused = ref [] and current = ref None in
   let flush () =
     match !current with
@@ -385,13 +378,6 @@ let plan_groups ~options statuses =
       | Ok (nest : Kc.nest) -> (
         match !current with
         | None ->
-          current :=
-            Some
-              { p_nests = [ (i, nest) ]; p_kind = G_single;
-                p_acc = nest_accesses nest }
-        | Some pg when not options.o_fuse ->
-          ignore pg;
-          flush ();
           current :=
             Some
               { p_nests = [ (i, nest) ]; p_kind = G_single;
@@ -447,7 +433,6 @@ let plan_groups ~options statuses =
 type est = {
   eb : Buffer.t;
   strides : int array;
-  options : options;
   mutable n_reused : int;
   mutable n_blits : int;
   mutable n_unrolled : int;
@@ -462,28 +447,26 @@ let default_ivn l = Printf.sprintf "i%d" l
    unit-stride copy between distinct buffers. Returns the (src, dst,
    flat delta) triple when it applies. *)
 let blit_candidate st ~(inner : Kc.loop_spec) (stmts : Kc.store_stmt list) =
-  if not st.options.o_tile then None
-  else
-    match stmts with
-    | [ { Kc.st_buf = dst; st_index = di; st_expr = Kc.F_load (src, si) } ]
-      when src <> dst && di = si && st.strides.(inner.Kc.l_dim) = 1 ->
-      let ok_components =
-        List.mapi
-          (fun pos c ->
-            if pos = inner.Kc.l_dim then
-              match c with
-              | Kc.Iv (lv, _) -> lv = inner.Kc.l_level
-              | Kc.Cst _ -> false
-            else
-              match c with
-              | Kc.Iv (lv, _) -> lv <> inner.Kc.l_level
-              | Kc.Cst _ -> true)
-          di
-      in
-      if List.for_all Fun.id ok_components then
-        Some (src, dst, Kc.delta_of st.strides di)
-      else None
-    | _ -> None
+  match stmts with
+  | [ { Kc.st_buf = dst; st_index = di; st_expr = Kc.F_load (src, si) } ]
+    when src <> dst && di = si && st.strides.(inner.Kc.l_dim) = 1 ->
+    let ok_components =
+      List.mapi
+        (fun pos c ->
+          if pos = inner.Kc.l_dim then
+            match c with
+            | Kc.Iv (lv, _) -> lv = inner.Kc.l_level
+            | Kc.Cst _ -> false
+          else
+            match c with
+            | Kc.Iv (lv, _) -> lv <> inner.Kc.l_level
+            | Kc.Cst _ -> true)
+        di
+    in
+    if List.for_all Fun.id ok_components then
+      Some (src, dst, Kc.delta_of st.strides di)
+    else None
+  | _ -> None
 
 (* Rolling windows: group the innermost loop's loads by (buffer, index
    form with the innermost component zeroed); a group whose buffer is
@@ -498,61 +481,58 @@ type roll = {
 }
 
 let roll_groups st ~(inner : Kc.loop_spec) (stmts : Kc.store_stmt list) =
-  if not st.options.o_tile then []
-  else begin
-    let stored =
-      List.sort_uniq compare
-        (List.map (fun (s : Kc.store_stmt) -> s.Kc.st_buf) stmts)
-    in
-    let loads =
-      List.concat_map
-        (fun (s : Kc.store_stmt) -> scan_loads [] s.Kc.st_expr)
-        stmts
-    in
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun a ->
-        if not (List.mem a.a_buf stored) then begin
-          let ok = ref true and off = ref 0 in
-          List.iteri
-            (fun pos c ->
-              if pos = inner.Kc.l_dim then
-                match c with
-                | Kc.Iv (lv, o) when lv = inner.Kc.l_level -> off := o
-                | _ -> ok := false
-              else
-                match c with
-                | Kc.Iv (lv, _) when lv = inner.Kc.l_level -> ok := false
-                | _ -> ())
-            a.a_idx;
-          if !ok then begin
-            let zeroed =
-              List.mapi
-                (fun pos c -> if pos = inner.Kc.l_dim then Kc.Cst 0 else c)
-                a.a_idx
-            in
-            let key = (a.a_buf, zeroed) in
-            let offs =
-              match Hashtbl.find_opt tbl key with Some l -> l | None -> []
-            in
-            Hashtbl.replace tbl key ((!off, Kc.delta_of st.strides a.a_idx) :: offs)
-          end
-        end)
-      loads;
-    Hashtbl.fold
-      (fun (buf, _) offs acc ->
-        let offs = List.sort_uniq compare offs in
-        (* three offsets minimum: rolling a two-load window trades two
-           L1 hits for a serial register shuffle and loses *)
-        match (offs, List.rev offs) with
-        | (omin, dmin) :: _ :: _ :: _, (omax, _) :: _ when omax - omin <= 4 ->
-          st.wid <- st.wid + 1;
-          { r_buf = buf; r_d0 = dmin; r_span = omax - omin;
-            r_deltas = List.map snd offs; r_id = st.wid }
-          :: acc
-        | _ -> acc)
-      tbl []
-  end
+  let stored =
+    List.sort_uniq compare
+      (List.map (fun (s : Kc.store_stmt) -> s.Kc.st_buf) stmts)
+  in
+  let loads =
+    List.concat_map
+      (fun (s : Kc.store_stmt) -> scan_loads [] s.Kc.st_expr)
+      stmts
+  in
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun a ->
+      if not (List.mem a.a_buf stored) then begin
+        let ok = ref true and off = ref 0 in
+        List.iteri
+          (fun pos c ->
+            if pos = inner.Kc.l_dim then
+              match c with
+              | Kc.Iv (lv, o) when lv = inner.Kc.l_level -> off := o
+              | _ -> ok := false
+            else
+              match c with
+              | Kc.Iv (lv, _) when lv = inner.Kc.l_level -> ok := false
+              | _ -> ())
+          a.a_idx;
+        if !ok then begin
+          let zeroed =
+            List.mapi
+              (fun pos c -> if pos = inner.Kc.l_dim then Kc.Cst 0 else c)
+              a.a_idx
+          in
+          let key = (a.a_buf, zeroed) in
+          let offs =
+            match Hashtbl.find_opt tbl key with Some l -> l | None -> []
+          in
+          Hashtbl.replace tbl key ((!off, Kc.delta_of st.strides a.a_idx) :: offs)
+        end
+      end)
+    loads;
+  Hashtbl.fold
+    (fun (buf, _) offs acc ->
+      let offs = List.sort_uniq compare offs in
+      (* three offsets minimum: rolling a two-load window trades two
+         L1 hits for a serial register shuffle and loses *)
+      match (offs, List.rev offs) with
+      | (omin, dmin) :: _ :: _ :: _, (omax, _) :: _ when omax - omin <= 4 ->
+        st.wid <- st.wid + 1;
+        { r_buf = buf; r_d0 = dmin; r_span = omax - omin;
+          r_deltas = List.map snd offs; r_id = st.wid }
+        :: acc
+      | _ -> acc)
+    tbl []
 
 (* Emit the innermost loop over [lo_e, hi_e) (exclusive upper bound,
    both strings; [literal] when the bounds are compile-time ints so
@@ -613,7 +593,7 @@ let emit_inner st ~ind ~ivn ~basep ~(inner : Kc.loop_spec) ~lo_e ~hi_e
          and per-cell float ops untouched. Only with literal bounds (a
          static remainder split) and no rolling window (the carried
          registers assume single-step trips). *)
-      if st.options.o_tile && rolls = [] then
+      if rolls = [] then
         match (int_of_string_opt lo_e, int_of_string_opt hi_e) with
         | Some lo, Some hi when hi - lo >= 8 -> Some (lo, hi)
         | _ -> None
@@ -715,18 +695,16 @@ let rec emit_levels st ~ind ~ivn ~basep ~loops ~lo_ov stmts =
 (* Tile bound for a group body: the first sequential level of a depth
    >= 3 nest, blocked only when the hint is a real split. *)
 let tile_rows st ~nest_idx (nest : Kc.nest) =
-  if not st.options.o_tile then None
-  else
-    match (nest.Kc.n_tile, nest.Kc.n_loops) with
-    | t :: _, _ :: (l1 : Kc.loop_spec) :: _ :: _
-      when t > 0 && not l1.Kc.l_parallel ->
-      let ext = l1.Kc.l_ub - l1.Kc.l_lb in
-      if t < ext then begin
-        st.n_tiled <- (nest_idx, t) :: st.n_tiled;
-        Some t
-      end
-      else None
-    | _ -> None
+  match (nest.Kc.n_tile, nest.Kc.n_loops) with
+  | t :: _, _ :: (l1 : Kc.loop_spec) :: _ :: _
+    when t > 0 && not l1.Kc.l_parallel ->
+    let ext = l1.Kc.l_ub - l1.Kc.l_lb in
+    if t < ext then begin
+      st.n_tiled <- (nest_idx, t) :: st.n_tiled;
+      Some t
+    end
+    else None
+  | _ -> None
 
 (* The body below one outer index: levels 1.., optionally blocked at
    level 1 (serial split: tiles in order, then the remainder). *)
@@ -899,9 +877,9 @@ let emit_shifted_group st ~fname ~d (a_m : int * Kc.nest) (b_m : int * Kc.nest)
     ~loops:(List.tl loops) ~tile:None b.Kc.n_stores;
   add st "  done\n\n"
 
-let emit ~strides ?(options = default_options) ?(skip = []) (spec : Kc.spec) =
+let emit ~strides ?(skip = []) (spec : Kc.spec) =
   let st =
-    { eb = Buffer.create 4096; strides; options; n_reused = 0; n_blits = 0;
+    { eb = Buffer.create 4096; strides; n_reused = 0; n_blits = 0;
       n_unrolled = 0; n_tiled = []; wid = 0 }
   in
   Buffer.add_string st.eb
@@ -924,7 +902,7 @@ let emit ~strides ?(options = default_options) ?(skip = []) (spec : Kc.spec) =
          (fun i s -> match s with Error r -> [ (i, r) ] | Ok _ -> [])
          statuses)
   in
-  let planned, refused = plan_groups ~options statuses in
+  let planned, refused = plan_groups statuses in
   let groups =
     List.map
       (fun pg ->

@@ -23,19 +23,6 @@
 
 module Kc = Fsc_rt.Kernel_compile
 
-type options = {
-  o_tile : bool;
-      (** intra-nest scheduling: blocked loops from the [n_tile] hint,
-          rolling load windows, unit-stride row copies as blits *)
-  o_fuse : bool;
-      (** inter-nest fusion: aligned cell-wise merging, and shifted
-          (pipelined) fusion of sweep/copy-back pairs *)
-}
-
-(** Both transforms enabled. With both disabled the emitted schedule is
-    exactly the v1 flat loop nest. *)
-val default_options : options
-
 type group_kind =
   | G_single  (** one nest, no fusion *)
   | G_aligned  (** >= 2 nests merged cell-wise into one body *)
@@ -59,8 +46,9 @@ type group = {
 
 type t
 
-(** [emit ~strides ?options ?skip spec] renders every supported nest of
-    [spec]. [strides.(d)] is the flat stride of dimension [d] (shared
+(** [emit ~strides ?skip spec] renders every supported nest of
+    [spec], scheduled by every transform whose legality and hint
+    conditions hold. [strides.(d)] is the flat stride of dimension [d] (shared
     by all buffers — enforced by the caller via shape checking).
     [skip] pre-excludes nests (index, reason) the caller already
     decided against (e.g. an empty iteration space proven by footprint
@@ -68,7 +56,6 @@ type t
     emitted. *)
 val emit :
   strides:int array ->
-  ?options:options ->
   ?skip:(int * string) list ->
   Kc.spec ->
   (t, string) result
@@ -102,7 +89,7 @@ val unrolled : t -> int
 (** The emitted definitions without the registration trailer — the
     content-addressed identity of the generated code (the cache key is
     a digest over this, so it must not contain the key itself).
-    Deterministic in the spec, strides and options: tile shape and
+    Deterministic in the spec and strides: tile shape and
     fusion decisions are part of the text, hence of the digest. *)
 val body : t -> string
 

@@ -370,7 +370,6 @@ type kernel = {
   k_ctx : ctx;
   k_name : string;
   k_spec : Kc.spec;
-  k_options : Emit.options;
   k_plan : Kb.plan; (* the vector tier: fallback at every level *)
   k_nnests : int;
   k_mutex : Mutex.t;
@@ -380,9 +379,8 @@ type kernel = {
   mutable k_par_mode : string; (* how the last native run work-shared *)
 }
 
-let prepare ctx ?(tile = true) ?(fuse = true) ~name spec =
+let prepare ctx ~name spec =
   { k_ctx = ctx; k_name = name; k_spec = spec;
-    k_options = { Emit.o_tile = tile; o_fuse = fuse };
     k_plan = Kb.compile_spec spec;
     k_nnests = List.length spec.Kc.k_nests; k_mutex = Mutex.create ();
     k_bind = None; k_pending_runs = 0; k_guard_misses = 0;
@@ -484,7 +482,7 @@ let bind_kernel k ~bufs =
                k.k_spec.Kc.k_nests)
         in
         match
-          Emit.emit ~strides ~options:k.k_options ~skip:pre_skip k.k_spec
+          Emit.emit ~strides ~skip:pre_skip k.k_spec
         with
         | Error reason ->
           Obs.incr c_emit_fallbacks;

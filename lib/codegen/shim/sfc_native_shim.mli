@@ -1,4 +1,4 @@
-(** Host/plugin rendezvous for Dynlink'd native kernels.
+(** Host/plugin meeting point for Dynlink'd native kernels.
 
     This is the only module generated kernel plugins are compiled
     against; it must stay dependency-free (stdlib only) so a plugin

@@ -91,12 +91,8 @@ type kplan = {
 
 type state = {
   dk_ranks : int;
-  dk_mode : Dist_exec.mode;
   dk_engine : engine;
   dk_pool : Pool.t option;
-  dk_fuse : bool; (* skip exchanges whose halos are already fresh *)
-  dk_coalesce : bool; (* one message per neighbour per superstep *)
-  dk_footprint : bool; (* footprint-aware staling of halo freshness *)
   mutable dk_groups : group list;
   mutable dk_ids : (Rt.t * int) list; (* physical buffer -> id *)
   mutable dk_next_id : int;
@@ -112,10 +108,8 @@ type state = {
   mutable dk_total_nests : int;
 }
 
-let create ?pool ?(fuse = true) ?(coalesce = true) ?(footprint_stale = true)
-    ~ranks ~mode ~engine () =
-  { dk_ranks = ranks; dk_mode = mode; dk_engine = engine; dk_pool = pool;
-    dk_fuse = fuse; dk_coalesce = coalesce; dk_footprint = footprint_stale;
+let create ?pool ~ranks ~engine () =
+  { dk_ranks = ranks; dk_engine = engine; dk_pool = pool;
     dk_groups = []; dk_ids = [];
     dk_next_id = 0; dk_plans = Hashtbl.create 8; dk_dist_runs = 0;
     dk_fallback_runs = 0; dk_overlap_stages = 0; dk_blocking_stages = 0;
@@ -603,9 +597,8 @@ let run_dist st g kplan ~bufs ~scalars =
   in
   let planes = mirror_planes decomp in
   (* Build the whole invocation — every stage's superstep — as one phase
-     list, executed by a single [Dist_exec.run_phases] call: under the
-     barrier rendezvous the pool is launched once per kernel invocation,
-     not once per phase. The freshness/fusion decisions below are purely
+     list, executed by a single [Dist_exec.run_phases] call: the pool is
+     launched once per kernel invocation, not once per phase. The freshness/fusion decisions below are purely
      schedule-level, so they are made here at build time. *)
   let phases =
     List.concat
@@ -620,21 +613,18 @@ let run_dist st g kplan ~bufs ~scalars =
               the one-cell halo by construction ([check_nest]), so
               freshness is exactly the remaining fusion condition. *)
            let stale =
-             if st.dk_fuse then
-               List.filter (fun n -> not (SS.mem n g.g_fresh)) swap_fields
-             else swap_fields
+             List.filter (fun n -> not (SS.mem n g.g_fresh)) swap_fields
            in
            let fused = swap_fields <> [] && stale = [] in
-           (* mirror the superstep's no-pool collapse: the runners below
-              are keyed by window, so the window set must match the
+           (* Overlap whenever a pool runs the ranks concurrently and
+              the stage's writes stay inside the interior. This mirrors
+              the superstep's no-pool collapse: the runners below are
+              keyed by window, so the window set must match the
               schedule the superstep will actually run. A fused stage
               has no communication to hide and runs the blocking
               whole-sweep windows. *)
            let mode =
-             if fused then Dist_exec.Blocking
-             else if
-               st.dk_mode = Dist_exec.Overlap && stage.sg_overlap_ok
-               && st.dk_pool <> None
+             if (not fused) && stage.sg_overlap_ok && st.dk_pool <> None
              then Dist_exec.Overlap
              else Dist_exec.Blocking
            in
@@ -648,7 +638,7 @@ let run_dist st g kplan ~bufs ~scalars =
                st.dk_overlap_stages <- st.dk_overlap_stages + 1
              | Dist_exec.Blocking ->
                st.dk_blocking_stages <- st.dk_blocking_stages + 1;
-               if st.dk_mode = Dist_exec.Overlap then Obs.incr c_fallbacks
+               Obs.incr c_fallbacks
            end;
            (* the exchange refreshes every swap field; the stage's
               writes then stale the written fields' halos — but only
@@ -658,14 +648,12 @@ let run_dist st g kplan ~bufs ~scalars =
               an interior band short of any block edge) leaves every
               rank's halo mirroring its unchanged owner cells. *)
            let staling =
-             if st.dk_footprint then
-               List.filter
-                 (fun bi ->
-                   match List.assoc_opt bi stage.sg_write_regions with
-                   | None -> true
-                   | Some region -> write_stales ~ddims ~planes region)
-                 stage.sg_writes
-             else stage.sg_writes
+             List.filter
+               (fun bi ->
+                 match List.assoc_opt bi stage.sg_write_regions with
+                 | None -> true
+                 | Some region -> write_stales ~ddims ~planes region)
+               stage.sg_writes
            in
            let avoided = List.length stage.sg_writes - List.length staling in
            if avoided > 0 then begin
@@ -698,7 +686,6 @@ let run_dist st g kplan ~bufs ~scalars =
                    finish_runner st kplan ~decomp ~ddims ~stage_idx ~rank ))
            in
            Dist_exec.superstep_phases dx ~swap_fields:stale ~mode
-             ~coalesce:st.dk_coalesce
              ~sweep:(fun ~rank w ->
                let sweeps, _ = runners.(rank) in
                (List.assoc w sweeps) ~bufs:local_bufs.(rank) ~scalars)
@@ -749,11 +736,8 @@ type group_stats = {
 
 type stats = {
   ds_ranks : int;
-  ds_mode : Dist_exec.mode;
+  ds_mode : Dist_exec.mode; (* Overlap iff a pool runs the ranks *)
   ds_engine : engine;
-  ds_fuse : bool;
-  ds_coalesce : bool;
-  ds_footprint : bool;
   ds_groups : group_stats list;
   ds_dist_runs : int; (* distributed kernel executions, cumulative *)
   ds_fallback_runs : int;
@@ -775,9 +759,10 @@ let stats st =
         (ay + y, az + z))
       (0, 0) st.dk_groups
   in
-  { ds_ranks = st.dk_ranks; ds_mode = st.dk_mode; ds_engine = st.dk_engine;
-    ds_fuse = st.dk_fuse; ds_coalesce = st.dk_coalesce;
-    ds_footprint = st.dk_footprint;
+  { ds_ranks = st.dk_ranks;
+    ds_mode =
+      (if st.dk_pool = None then Dist_exec.Blocking else Dist_exec.Overlap);
+    ds_engine = st.dk_engine;
     ds_groups =
       List.rev_map
         (fun g ->

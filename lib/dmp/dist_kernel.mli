@@ -21,32 +21,27 @@ val engine_name : engine -> string
 
 type state
 
-(** [create ?pool ~ranks ~mode ~engine ()] — one state per linked
-    artifact. [pool] runs ranks concurrently; [mode] selects overlapped
-    or blocking supersteps (per stage, overlap falls back to blocking
-    when a nest writes outside the interior). [fuse] (default [true])
-    skips a stage's halo exchange when every swap field's halos are
-    already fresh — scattered or exchanged since last written — so e.g.
-    the superstep right after a scatter pays no messages. [coalesce]
-    (default [true]) packs a stage's whole swap set into one message
-    per neighbour per superstep behind a field-offset header instead of
-    one message per field per direction. [footprint_stale] (default
-    [true]) keeps a written field's halos fresh when the stage's write
-    footprint ({!Fsc_analysis.Footprint}) provably misses every
-    mirrored boundary plane of the decomposition — interior-band or
-    global-edge writes then fuse away the next exchange that
-    whole-field tracking would pay. All three preserve bitwise
-    results; the flags exist for differential testing and ablation. *)
+(** [create ?pool ~ranks ~engine ()] — one state per linked artifact.
+    The superstep schedule is chosen per stage, automatically:
+    - {b overlap} when [pool] runs the ranks concurrently and the
+      stage's nests write only inside the interior; {b blocking}
+      otherwise (no pool, or a fused stage with nothing to exchange);
+      ranks too thin to split fall back to the blocking whole-sweep
+      inside an overlap superstep;
+    - {b fusion}: a stage skips its halo exchange when every swap
+      field's halos are already fresh — scattered or exchanged since
+      last written — so e.g. the superstep right after a scatter pays
+      no messages;
+    - {b coalescing}: a stage's whole swap set travels as one message
+      per neighbour per superstep behind a field-offset header;
+    - {b footprint staling}: a written field's halos stay fresh when the
+      stage's write footprint ({!Fsc_analysis.Footprint}) provably
+      misses every mirrored boundary plane of the decomposition —
+      interior-band or global-edge writes then fuse away the next
+      exchange that whole-field tracking would pay.
+    All of it preserves bitwise results. *)
 val create :
-  ?pool:Fsc_rt.Domain_pool.t ->
-  ?fuse:bool ->
-  ?coalesce:bool ->
-  ?footprint_stale:bool ->
-  ranks:int ->
-  mode:Dist_exec.mode ->
-  engine:engine ->
-  unit ->
-  state
+  ?pool:Fsc_rt.Domain_pool.t -> ranks:int -> engine:engine -> unit -> state
 
 (** The interior planes some rank's halo mirrors, per decomposed axis
     [(y planes, z planes)]: the first/last owned plane of every block
@@ -102,10 +97,10 @@ type group_stats = {
 type stats = {
   ds_ranks : int;
   ds_mode : Dist_exec.mode;
+      (** [Overlap] when a pool runs the ranks concurrently, else
+          [Blocking] (stages that cannot overlap are counted in
+          [ds_blocking_stages]) *)
   ds_engine : engine;
-  ds_fuse : bool;
-  ds_coalesce : bool;
-  ds_footprint : bool;
   ds_groups : group_stats list;
   ds_dist_runs : int;  (** distributed kernel executions, cumulative *)
   ds_fallback_runs : int;

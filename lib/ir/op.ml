@@ -54,11 +54,11 @@ and region = {
   mutable g_parent : op option;
 }
 
+(* Shared by compiles running on several domains at once (batch and
+   serve workers): ids must stay unique process-wide. *)
 let next_id =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
+  let counter = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add counter 1 + 1
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)

@@ -252,8 +252,8 @@ let parallel_for ?chunk pool ~lo ~hi body =
 (* Launch a fixed team of [members] participants: each runs
    [body ~member ~barrier] exactly once, with [member 0] being the
    caller and a fresh phase barrier of [members] parties shared by the
-   team. One launch then an arbitrary number of cheap barrier
-   rendezvous inside the body replaces a pool join per phase — the
+   team. One launch then an arbitrary number of cheap barriers inside
+   the body replaces a pool join per phase — the
    launch/join cost and the steal-thrash of chunked scheduling are paid
    once per team, not once per phase. The body must not use the pool
    itself ([parallel_for] or a nested [team] would deadlock waiting for

@@ -31,7 +31,7 @@ val parallel_for :
 (** [team pool ~members body] launches a fixed team: participant [m]
     (member 0 is the caller, members [1 .. members-1] are pinned pool
     workers) runs [body ~member:m ~barrier] exactly once. [barrier ()]
-    is a reusable hybrid spin-then-block phase rendezvous over exactly
+    is a reusable hybrid spin-then-block phase barrier over exactly
     the [members] participants — one team launch plus any number of
     cheap barriers replaces one full pool join per phase. Blocks until
     every member returned. Teams are not stealable: each member keeps

@@ -15,10 +15,8 @@ type t = {
 }
 
 let next_id =
-  let c = ref 0 in
-  fun () ->
-    incr c;
-    !c
+  let c = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add c 1 + 1
 
 let column_major_strides dims =
   let n = Array.length dims in

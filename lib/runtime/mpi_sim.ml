@@ -5,7 +5,7 @@
    ranks may post and take messages concurrently from pool workers. The
    halo-swap ordering discipline (everything posted in a communication
    phase is receivable in the next) is the caller's job — [Dist_exec]
-   separates its phases with a pool-join rendezvous barrier. Timing at
+   separates its phases with a pool-team barrier. Timing at
    scale comes from [Fsc_perf.Net_model]; this module is about
    correctness of decomposition + exchange. *)
 

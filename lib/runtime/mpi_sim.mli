@@ -4,7 +4,7 @@
     mutex-guarded mailbox, so ranks may post and take messages
     concurrently from pool workers. Superstep ordering (all sends of a
     phase visible before the next phase's receives) is the caller's
-    rendezvous barrier, not this module's. *)
+    barrier, not this module's. *)
 
 type message = {
   m_src : int;

@@ -219,7 +219,7 @@ let test_fusion_structural_gates () =
   let other =
     nest3d ~loops:(loops3d ~ub:6 ()) [ store3 0 (Kc.F_load (1, idx3 ())) ]
   in
-  (match E.emit ~strides:strides3 (spec3 [ sweep_nest; other ]) with
+  match E.emit ~strides:strides3 (spec3 [ sweep_nest; other ]) with
   | Ok t ->
     Alcotest.(check int) "bound mismatch stays single" 2
       (List.length (E.groups t));
@@ -228,17 +228,6 @@ let test_fusion_structural_gates () =
       Alcotest.(check bool) "reason names loop structure" true
         (contains why "loop structures differ")
     | _ -> Alcotest.fail "expected one refusal")
-  | Error e -> Alcotest.failf "emit failed: %s" e);
-  (* o_fuse = false splits the legal pair without recording refusals *)
-  match
-    E.emit ~strides:strides3
-      ~options:{ E.o_tile = true; o_fuse = false }
-      (spec3 [ sweep_nest; copy_nest ])
-  with
-  | Ok t ->
-    Alcotest.(check int) "fuse off: two singles" 2 (List.length (E.groups t));
-    Alcotest.(check int) "fuse off: no refusals" 0
-      (List.length (E.refused t))
   | Error e -> Alcotest.failf "emit failed: %s" e
 
 let test_schedule_emission () =
@@ -249,36 +238,25 @@ let test_schedule_emission () =
   let sweep = { sweep_nest with Kc.n_loops = wide; n_tile = [ 4 ] } in
   let copy = { copy_nest with Kc.n_loops = wide } in
   let strides = [| 1; 14; 196 |] in
-  (* fusion off: exercise the intra-nest transforms in isolation *)
-  (match
-     E.emit ~strides
-       ~options:{ E.o_tile = true; o_fuse = false }
-       (spec3 [ sweep; copy ])
-   with
-  | Error e -> Alcotest.failf "emit failed: %s" e
-  | Ok t ->
-    Alcotest.(check bool) "innermost loops unrolled" true (E.unrolled t > 0);
-    Alcotest.(check bool) "copy rows emitted as row blits" true
-      (E.blits t > 0);
-    Alcotest.(check (list (pair int int))) "tile hint honoured" [ (0, 4) ]
-      (E.tiled t);
-    let body = E.body t in
-    Alcotest.(check bool) "body carries the unrolled trips" true
-      (contains body "4 cells per trip");
-    Alcotest.(check bool) "body carries the blocked tiles" true
-      (contains body "-row tiles");
-    Alcotest.(check bool) "row moves never allocate sub views" false
-      (contains body "Array1.sub"));
-  match
-    E.emit ~strides
-      ~options:{ E.o_tile = false; o_fuse = true }
-      (spec3 [ sweep; copy ])
-  with
-  | Error e -> Alcotest.failf "emit failed: %s" e
-  | Ok t ->
-    Alcotest.(check int) "tile off: nothing unrolled" 0 (E.unrolled t);
-    Alcotest.(check int) "tile off: no blits" 0 (E.blits t);
-    Alcotest.(check (list (pair int int))) "tile off: no tiles" [] (E.tiled t)
+  (* one nest per spec: nothing to fuse, so the intra-nest transforms
+     show in isolation *)
+  let emit1 nest =
+    match E.emit ~strides (spec3 [ nest ]) with
+    | Error e -> Alcotest.failf "emit failed: %s" e
+    | Ok t -> t
+  in
+  let ts = emit1 sweep and tc = emit1 copy in
+  Alcotest.(check bool) "innermost loops unrolled" true (E.unrolled ts > 0);
+  Alcotest.(check (list (pair int int))) "tile hint honoured" [ (0, 4) ]
+    (E.tiled ts);
+  Alcotest.(check bool) "copy rows emitted as row blits" true
+    (E.blits tc > 0);
+  Alcotest.(check bool) "body carries the unrolled trips" true
+    (contains (E.body ts) "4 cells per trip");
+  Alcotest.(check bool) "body carries the blocked tiles" true
+    (contains (E.body ts) "-row tiles");
+  Alcotest.(check bool) "row moves never allocate sub views" false
+    (contains (E.body tc) "Array1.sub")
 
 (* ---- end-to-end parity on a real program ---- *)
 
@@ -392,43 +370,55 @@ let test_corrupt_plugin_rebuilds () =
     Alcotest.(check bool) "plugin replaced on disk" false (c = corrupt)
   | None -> Alcotest.fail "plugin missing after rebuild"
 
-(* ---- scheduling ablation matrix ----
+(* ---- scheduled programs ----
 
-   Every scheduling knob combination, serial and pool-hosted, must stay
-   bitwise identical to the vector engine — the transforms reorder loop
-   control only, never float arithmetic. *)
-let test_ablation_matrix () =
+   The scheduled native code, serial and pool-hosted, must stay bitwise
+   identical to the vector engine — the transforms reorder loop control
+   only, never float arithmetic — and the serial schedule must actually
+   carry the fusion each program exists to exercise. *)
+let test_default_schedule () =
   with_toolchain @@ fun () ->
   List.iter
-    (fun (pname, src, grids) ->
+    (fun (pname, src, grids, marker) ->
       let va, _ = P.stencil ~target:P.Serial ~engine:P.Engine_vector src in
       P.run va;
       let refs = List.map (fun g -> (g, Rt.clone (P.buffer_exn va g))) grids in
       P.shutdown va;
       List.iter
-        (fun (tile, fuse) ->
+        (fun (tname, target) ->
+          let a, _ =
+            P.stencil ~target ~engine:P.Engine_native ~native:(sync_ctx ())
+              src
+          in
+          P.run a;
           List.iter
-            (fun (tname, target) ->
-              let a, _ =
-                P.stencil ~target ~engine:P.Engine_native
-                  ~native:(sync_ctx ()) ~native_tile:tile ~native_fuse:fuse
-                  src
-              in
-              P.run a;
-              List.iter
-                (fun (g, r) ->
-                  Alcotest.(check (float 0.))
-                    (Printf.sprintf "%s/%s tile=%b fuse=%b %s" pname g tile
-                       fuse tname)
-                    0.0
-                    (Rt.max_abs_diff r (P.buffer_exn a g)))
-                refs;
-              P.shutdown a)
-            [ ("serial", P.Serial); ("pool", P.Openmp 2) ])
-        [ (false, false); (true, false); (false, true); (true, true) ])
-    [ ("gauss-seidel", gs_src, [ "u" ]);
-      ("laplace", B.laplace ~n:12 ~niter:3 (), [ "phi" ]);
-      ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ]) ]
+            (fun (g, r) ->
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s/%s %s" pname g tname)
+                0.0
+                (Rt.max_abs_diff r (P.buffer_exn a g)))
+            refs;
+          if target = P.Serial then begin
+            let details =
+              List.filter_map
+                (fun (_, impl) ->
+                  match impl with
+                  | P.Native_jit (_, nk) -> Some (N.report nk).N.rp_detail
+                  | _ -> None)
+                a.P.a_kernels
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: report carries '%s'" pname marker)
+              true
+              (List.exists (fun d -> contains d marker) details)
+          end;
+          P.shutdown a)
+        [ ("serial", P.Serial); ("pool", P.Openmp 2) ])
+    [ ("gauss-seidel", gs_src, [ "u" ], "fused 2 nests (shift d=1)");
+      ("laplace", B.laplace ~n:12 ~niter:3 (), [ "phi" ],
+       "fused 2 nests (shift d=1)");
+      ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ],
+       "x4-unrolled") ]
 
 (* ---- storage arena ----
 
@@ -512,7 +502,7 @@ let () =
            test_fusion_aligned;
          Alcotest.test_case "overlap fixture refuses to fuse" `Quick
            test_fusion_refused;
-         Alcotest.test_case "structural gates and fuse knob" `Quick
+         Alcotest.test_case "structural gates" `Quick
            test_fusion_structural_gates;
          Alcotest.test_case "tile, unroll and blit emission" `Quick
            test_schedule_emission ]);
@@ -525,8 +515,8 @@ let () =
            test_mixed_nest_execution;
          Alcotest.test_case "corrupt plugin dropped and rebuilt" `Quick
            test_corrupt_plugin_rebuilds;
-         Alcotest.test_case "ablation matrix bitwise vs vector" `Quick
-           test_ablation_matrix;
+         Alcotest.test_case "default schedule bitwise vs vector" `Quick
+           test_default_schedule;
          Alcotest.test_case "storage arena recycles buffers" `Quick
            test_arena_recycles;
          Alcotest.test_case "tile budget change evicts artifacts" `Quick

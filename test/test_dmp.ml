@@ -373,34 +373,45 @@ let test_coalesced_roundtrip () =
       (fun p -> p.(1) <- float_of_int (Array.length payload * 2))
       "escaping offset")
 
-(* The barrier rendezvous and the legacy pool-join rendezvous are pure
-   scheduling strategies: same supersteps, bitwise-identical results,
-   in both modes, with ranks genuinely concurrent on a pool. *)
-let test_rendezvous_differential () =
+(* Pool-team supersteps (ranks pinned to members, a barrier between
+   phases) are a pure scheduling strategy: in both modes they must
+   gather the grid of the sequential, pool-less schedule bit for bit,
+   move exactly one message per neighbour per superstep, and match
+   serial. *)
+let test_pooled_supersteps () =
   let nx, ny, nz = (6, 8, 10) in
   let iters = 3 in
   let serial = gs_serial ~nx ~ny ~nz ~iters in
+  let d = D.create ~global:(nx, ny, nz) ~ranks:4 in
+  let neighbours =
+    List.fold_left ( + ) 0
+      (List.init 4 (fun r ->
+           List.length (List.filter_map (D.neighbor d r) D.directions)))
+  in
   Fsc_rt.Domain_pool.with_pool 3 (fun pool ->
       List.iter
         (fun mode ->
-          let gather_with rv =
-            let d = D.create ~global:(nx, ny, nz) ~ranks:4 in
+          let gather_with pool =
             let t =
-              DX.create ~pool ~rendezvous:rv d ~fields:[ "u"; "unew" ]
-                ~init:gs_init_fields
+              DX.create ?pool d ~fields:[ "u"; "unew" ] ~init:gs_init_fields
             in
             gs_iterate t ~mode ~iters;
-            DX.gather t "u"
+            (DX.gather t "u", fst (DX.stats t))
           in
-          let barrier = gather_with DX.Rv_barrier in
-          let join = gather_with DX.Rv_join in
+          let pooled, msgs = gather_with (Some pool) in
+          let sequential, seq_msgs = gather_with None in
           let label = DX.mode_name mode in
           Alcotest.(check (float 0.))
-            (label ^ ": barrier == join") 0.0
-            (max_interior_diff ~nx ~ny ~nz barrier join);
+            (label ^ ": pooled == sequential") 0.0
+            (max_interior_diff ~nx ~ny ~nz pooled sequential);
           Alcotest.(check (float 0.))
-            (label ^ ": barrier == serial") 0.0
-            (max_interior_diff ~nx ~ny ~nz serial.V.g_buf barrier))
+            (label ^ ": pooled == serial") 0.0
+            (max_interior_diff ~nx ~ny ~nz serial.V.g_buf pooled);
+          Alcotest.(check int)
+            (label ^ ": one message per neighbour per superstep")
+            (neighbours * iters) msgs;
+          Alcotest.(check int) (label ^ ": same traffic sequential") msgs
+            seq_msgs)
         [ DX.Blocking; DX.Overlap ])
 
 (* Overlap splits the sweep into interior block + shells; the union must
@@ -529,12 +540,8 @@ let test_dmp_to_mpi () =
 module P = Fsc_driver.Pipeline
 module B = Fsc_driver.Benchmarks
 
-let run_pipeline_stats ?dist_mode ?dist_fuse ?dist_coalesce ?dist_footprint
-    ~engine ~target ~grid src =
-  let a, _ =
-    P.stencil ~target ~engine ?dist_mode ?dist_fuse ?dist_coalesce
-      ?dist_footprint src
-  in
+let run_pipeline_stats ~engine ~target ~grid src =
+  let a, _ = P.stencil ~target ~engine src in
   P.run a;
   let b = P.buffer_exn a grid in
   (* copy out: the artifact owns the bigarray *)
@@ -544,8 +551,8 @@ let run_pipeline_stats ?dist_mode ?dist_fuse ?dist_coalesce ?dist_footprint
   P.shutdown a;
   (out, stats)
 
-let run_pipeline ?dist_mode ~engine ~target ~grid src =
-  fst (run_pipeline_stats ?dist_mode ~engine ~target ~grid src)
+let run_pipeline ~engine ~target ~grid src =
+  fst (run_pipeline_stats ~engine ~target ~grid src)
 
 let check_bitwise ~msg serial dist =
   Alcotest.(check int) (msg ^ ": size") (Array.length serial)
@@ -557,35 +564,39 @@ let check_bitwise ~msg serial dist =
           v dist.(i))
     serial
 
-(* Every rank count / superstep mode / engine must reproduce the serial
-   answer bit for bit — the distributed lowering is a pure execution
-   strategy, never a numerics change. *)
+let group_msgs = function
+  | Some s ->
+    List.fold_left
+      (fun a g -> a + g.Fsc_dmp.Dist_kernel.gs_msgs)
+      0 s.Fsc_dmp.Dist_kernel.ds_groups
+  | None -> 0
+
+(* Every rank count / engine must reproduce the serial answer bit for
+   bit — the distributed lowering is a pure execution strategy, never a
+   numerics change. Gauss-Seidel rewrites u every sweep, so each of the
+   four iterations pays one coalesced exchange: one message per
+   neighbour link (2, 4 and 20 links at 2, 3 and 8 ranks). *)
 let test_pipeline_dist_gs () =
   let src = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:4 () in
   let serial =
     run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid:"u" src
   in
   List.iter
-    (fun ranks ->
-      List.iter
-        (fun mode ->
-          let dist =
-            run_pipeline ~dist_mode:mode ~engine:P.Engine_vector
-              ~target:(P.Dist ranks) ~grid:"u" src
-          in
-          check_bitwise
-            ~msg:
-              (Printf.sprintf "gs ranks=%d mode=%s" ranks
-                 (DX.mode_name mode))
-            serial dist)
-        [ DX.Blocking; DX.Overlap ])
-    [ 1; 2; 3; 8 ];
+    (fun (ranks, msgs) ->
+      let dist, stats =
+        run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist ranks)
+          ~grid:"u" src
+      in
+      let label = Printf.sprintf "gs ranks=%d" ranks in
+      check_bitwise ~msg:label serial dist;
+      Alcotest.(check int) (label ^ ": halo messages") msgs
+        (group_msgs stats))
+    [ (1, 0); (2, 8); (3, 16); (8, 80) ];
   (* the other engines at one representative rank count *)
   List.iter
     (fun (ename, engine) ->
       let dist =
-        run_pipeline ~dist_mode:DX.Overlap ~engine ~target:(P.Dist 4)
-          ~grid:"u" src
+        run_pipeline ~engine ~target:(P.Dist 4) ~grid:"u" src
       in
       check_bitwise ~msg:("gs engine=" ^ ename) serial dist)
     [ ("closure", P.Engine_closure); ("interp", P.Engine_interp) ]
@@ -600,8 +611,8 @@ let test_pipeline_dist_pw () =
       List.iter
         (fun ranks ->
           let dist =
-            run_pipeline ~dist_mode:DX.Overlap ~engine:P.Engine_vector
-              ~target:(P.Dist ranks) ~grid src
+            run_pipeline ~engine:P.Engine_vector ~target:(P.Dist ranks)
+              ~grid src
           in
           check_bitwise
             ~msg:(Printf.sprintf "pw %s ranks=%d" grid ranks)
@@ -609,13 +620,15 @@ let test_pipeline_dist_pw () =
         [ 2; 6 ])
     [ "u"; "su" ]
 
-(* Superstep fusion and coalescing are pure traffic optimisations: every
-   fuse x coalesce combination must reproduce the serial answer bit for
-   bit. On Gauss-Seidel fusion must never fire (each sweep rewrites u,
-   so the per-iteration exchange is semantically required); on a
+(* Superstep fusion and coalescing are pure traffic optimisations: the
+   schedule must reproduce the serial answer bit for bit. On a
    residual-style kernel that reads u at offsets but never writes it,
-   every superstep after the first must fuse, and the message count
-   must drop accordingly. *)
+   every superstep after the first fuses: 4 ranks have 8 neighbour
+   links, so the three supersteps move 8 messages where an unfused
+   schedule would move 24. On Gauss-Seidel fusion must never fire (each
+   sweep rewrites u, so the per-iteration exchange is semantically
+   required): 3 exchanges x 8 links. A swap set of one field coalesces
+   to the same one message per link. *)
 let test_pipeline_dist_fusion () =
   let residual_src =
     {|
@@ -650,62 +663,25 @@ end program residual_probe
 |}
   in
   let module Dk = Fsc_dmp.Dist_kernel in
-  let group_msgs = function
+  let check_schedule ~label ~grid ~msgs ~fused src =
+    let serial =
+      run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid src
+    in
+    let dist, stats =
+      run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist 4) ~grid
+        src
+    in
+    check_bitwise ~msg:label serial dist;
+    Alcotest.(check int) (label ^ ": halo messages") msgs (group_msgs stats);
+    match stats with
     | Some s ->
-      List.fold_left (fun a g -> a + g.Dk.gs_msgs) 0 s.Dk.ds_groups
-    | None -> 0
+      Alcotest.(check int) (label ^ ": fused stages") fused
+        s.Dk.ds_fused_stages
+    | None -> Alcotest.fail (label ^ ": no dist state")
   in
-  let serial =
-    run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid:"r"
-      residual_src
-  in
-  let traffic = Hashtbl.create 4 in
-  List.iter
-    (fun (fuse, coalesce) ->
-      let dist, stats =
-        run_pipeline_stats ~dist_mode:DX.Overlap ~dist_fuse:fuse
-          ~dist_coalesce:coalesce ~engine:P.Engine_vector
-          ~target:(P.Dist 4) ~grid:"r" residual_src
-      in
-      let label = Printf.sprintf "residual fuse=%b coalesce=%b" fuse coalesce in
-      check_bitwise ~msg:label serial dist;
-      Hashtbl.replace traffic (fuse, coalesce) (group_msgs stats);
-      match stats with
-      | Some s ->
-        if fuse then
-          Alcotest.(check bool) (label ^ ": stages fused") true
-            (s.Dk.ds_fused_stages > 0)
-        else
-          Alcotest.(check int) (label ^ ": no stage fused") 0
-            s.Dk.ds_fused_stages
-      | None -> Alcotest.fail (label ^ ": no dist state"))
-    [ (true, true); (true, false); (false, true); (false, false) ];
-  (* niter = 3 supersteps swap u; fused pays the first exchange only *)
-  let msgs fuse coalesce = Hashtbl.find traffic (fuse, coalesce) in
-  Alcotest.(check int) "fused sends one exchange in three"
-    (msgs false true)
-    (3 * msgs true true);
-  Alcotest.(check int) "coalescing does not change a 1-field swap"
-    (msgs false false) (msgs false true);
-  (* Gauss-Seidel: fusion must not fire, results identical either way *)
-  let gs = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:3 () in
-  let gs_serial =
-    run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid:"u" gs
-  in
-  List.iter
-    (fun fuse ->
-      let dist, stats =
-        run_pipeline_stats ~dist_mode:DX.Overlap ~dist_fuse:fuse
-          ~engine:P.Engine_vector ~target:(P.Dist 4) ~grid:"u" gs
-      in
-      check_bitwise ~msg:(Printf.sprintf "gs fuse=%b" fuse) gs_serial dist;
-      match stats with
-      | Some s ->
-        Alcotest.(check int)
-          (Printf.sprintf "gs fuse=%b: nothing fusible" fuse)
-          0 s.Dk.ds_fused_stages
-      | None -> Alcotest.fail "gs: no dist state")
-    [ true; false ]
+  check_schedule ~label:"residual" ~grid:"r" ~msgs:8 ~fused:2 residual_src;
+  check_schedule ~label:"gs" ~grid:"u" ~msgs:24 ~fused:0
+    (B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:3 ())
 
 (* Mirror planes on an asymmetric decomposition: global (8,7,5) over 6
    ranks splits y 4+3 and z 2+2+1, so the block-boundary planes are
@@ -745,10 +721,12 @@ let test_mirror_planes_asymmetric () =
 
 (* Footprint-aware staling is a pure traffic optimisation: the
    residual+edge-probe program must reproduce the serial answer bit for
-   bit at every rank count / superstep mode with staling on and off —
-   while on, the probe's off-plane writes avoid stales and cut the
-   message count. *)
-let test_pipeline_dist_footprint () =
+   bit at every rank count. The probe's off-plane writes avoid stales
+   (8 at one rank, where no plane is mirrored; 3 otherwise), so u's
+   halos stay fresh and only the first of the three supersteps
+   exchanges: 2 and 20 messages at 2 and 8 ranks, where whole-field
+   staling would pay 6 and 60. *)
+let test_pipeline_footprint_staling () =
   let module Dk = Fsc_dmp.Dist_kernel in
   let src =
     {|
@@ -789,49 +767,27 @@ program residual_probe
 end program residual_probe
 |}
   in
-  let group_msgs = function
-    | Some s ->
-      List.fold_left (fun a g -> a + g.Dk.gs_msgs) 0 s.Dk.ds_groups
-    | None -> 0
-  in
   List.iter
     (fun grid ->
       let serial =
         run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid src
       in
       List.iter
-        (fun ranks ->
-          List.iter
-            (fun mode ->
-              let on, on_stats =
-                run_pipeline_stats ~dist_mode:mode ~dist_footprint:true
-                  ~engine:P.Engine_vector ~target:(P.Dist ranks) ~grid src
-              in
-              let off, off_stats =
-                run_pipeline_stats ~dist_mode:mode ~dist_footprint:false
-                  ~engine:P.Engine_vector ~target:(P.Dist ranks) ~grid src
-              in
-              let label =
-                Printf.sprintf "probe %s ranks=%d mode=%s" grid ranks
-                  (DX.mode_name mode)
-              in
-              check_bitwise ~msg:(label ^ " fp=on") serial on;
-              check_bitwise ~msg:(label ^ " fp=off") serial off;
-              match (on_stats, off_stats) with
-              | Some s_on, Some s_off ->
-                Alcotest.(check bool) (label ^ ": flag recorded") true
-                  (s_on.Dk.ds_footprint && not s_off.Dk.ds_footprint);
-                if ranks >= 2 then begin
-                  Alcotest.(check bool) (label ^ ": stales avoided") true
-                    (s_on.Dk.ds_stales_avoided > 0);
-                  Alcotest.(check int) (label ^ ": nothing avoided off") 0
-                    s_off.Dk.ds_stales_avoided;
-                  Alcotest.(check bool) (label ^ ": fewer messages") true
-                    (group_msgs (Some s_on) < group_msgs (Some s_off))
-                end
-              | _ -> Alcotest.fail (label ^ ": no dist state"))
-            [ DX.Blocking; DX.Overlap ])
-        [ 1; 2; 8 ])
+        (fun (ranks, msgs, avoided) ->
+          let dist, stats =
+            run_pipeline_stats ~engine:P.Engine_vector
+              ~target:(P.Dist ranks) ~grid src
+          in
+          let label = Printf.sprintf "probe %s ranks=%d" grid ranks in
+          check_bitwise ~msg:label serial dist;
+          Alcotest.(check int) (label ^ ": halo messages") msgs
+            (group_msgs stats);
+          match stats with
+          | Some s ->
+            Alcotest.(check int) (label ^ ": stales avoided") avoided
+              s.Dk.ds_stales_avoided
+          | None -> Alcotest.fail (label ^ ": no dist state"))
+        [ (1, 0, 8); (2, 2, 3); (8, 20, 3) ])
     [ "r"; "u" ]
 
 (* A grid too small for the rank count must fail with the located
@@ -867,8 +823,8 @@ let () =
        [ Alcotest.test_case "halo exchange" `Quick test_halo_exchange;
          Alcotest.test_case "coalesced payload round trip" `Quick
            test_coalesced_roundtrip;
-         Alcotest.test_case "barrier vs join rendezvous" `Quick
-           test_rendezvous_differential;
+         Alcotest.test_case "pooled vs sequential supersteps" `Quick
+           test_pooled_supersteps;
          Alcotest.test_case "overlap windows partition interior" `Quick
            test_overlap_windows_partition;
          Alcotest.test_case "gather ignores stale halos" `Quick
@@ -885,7 +841,7 @@ let () =
          Alcotest.test_case "mirror planes (asymmetric decomp)" `Quick
            test_mirror_planes_asymmetric;
          Alcotest.test_case "footprint staling ablation (bitwise)" `Quick
-           test_pipeline_dist_footprint;
+           test_pipeline_footprint_staling;
          Alcotest.test_case "degenerate decomposition diagnosed" `Quick
            test_pipeline_dist_degenerate ]);
       ("dialect",

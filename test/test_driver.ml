@@ -166,6 +166,55 @@ let test_gpu_ir_artifact () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "GPU artifact: %s" e)
 
+(* ---- concurrent compiles ---- *)
+
+(* IR value/op ids come from one process-wide counter. Compiles running
+   on several domains at once must still draw distinct ids, or id-keyed
+   maps (verifier scopes, clone mappings, printer names) conflate values
+   and the pipeline miscompiles. Many distinct sources compiled and run
+   on two domains must give exactly the grids of sequential runs. *)
+let test_concurrent_compiles () =
+  let shapes = [| (6, 1); (7, 2); (8, 1); (8, 2) |] in
+  let copies = 60 in
+  let src_of i =
+    let n, niter = shapes.(i mod Array.length shapes) in
+    B.pw_advection ~nx:n ~ny:n ~nz:n ~niter ()
+    ^ Printf.sprintf "! copy %d\n" i
+  in
+  let options = P.default_options ~target:P.Serial () in
+  let bits src =
+    (* compile + link, as the job server does: [P.stencil] resets the
+       kernel-name counter and is documented as serial-only *)
+    let a = P.link (P.compile options src) in
+    P.run a;
+    List.map
+      (fun name ->
+        let b = P.buffer_exn a name in
+        Array.init (Rt.size b) (fun i -> Int64.bits_of_float (Rt.get_flat b i)))
+      [ "su"; "sv"; "sw" ]
+  in
+  let expected = Array.map (fun i -> bits (src_of i)) [| 0; 1; 2; 3 |] in
+  let total = copies * Array.length shapes in
+  let worker first () =
+    let bad = ref [] in
+    let i = ref first in
+    while !i < total do
+      (match bits (src_of !i) with
+      | got when got = expected.(!i mod Array.length shapes) -> ()
+      | _ -> bad := Printf.sprintf "copy %d: grids differ" !i :: !bad
+      | exception e ->
+        let msg = List.hd (String.split_on_char '\n' (Printexc.to_string e)) in
+        bad := Printf.sprintf "copy %d: %s" !i msg :: !bad);
+      i := !i + 2
+    done;
+    !bad
+  in
+  let d0 = Domain.spawn (worker 0) and d1 = Domain.spawn (worker 1) in
+  let bad = Domain.join d0 @ Domain.join d1 in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%d concurrent compiles equal sequential runs" total)
+    [] bad
+
 (* ---- GPU accounting: the Figure 5 story in stats ---- *)
 
 let gpu_stats target =
@@ -218,6 +267,9 @@ let () =
          Alcotest.test_case "failed pass preserves stats" `Quick
            test_failed_pass_preserves_stats;
          Alcotest.test_case "gpu IR artifact" `Quick test_gpu_ir_artifact ]);
+      ("concurrency",
+       [ Alcotest.test_case "concurrent compiles equal sequential" `Quick
+           test_concurrent_compiles ]);
       ("gpu-accounting",
        [ Alcotest.test_case "strategy accounting" `Quick
            test_gpu_strategy_accounting ]) ]

@@ -80,7 +80,7 @@ let test_team_barrier_phases () =
           for p = 0 to phases - 1 do
             Atomic.incr counts.(p);
             barrier ();
-            (* after the rendezvous every member's arrival is visible *)
+            (* after the barrier every member's arrival is visible *)
             if Atomic.get counts.(p) <> members then Atomic.set failed true;
             barrier ()
           done);
@@ -112,7 +112,7 @@ let test_team_membership_bounds () =
           barrier ();
           ran := member = 0);
       Alcotest.(check bool) "singleton team inlined" true !ran;
-      (* a team larger than the pool can never rendezvous: rejected *)
+      (* a team larger than the pool can never meet: rejected *)
       List.iter
         (fun members ->
           match DP.team pool ~members (fun ~member:_ ~barrier:_ -> ()) with
