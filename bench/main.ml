@@ -891,9 +891,10 @@ let write_kernels_json () =
                 ("reuse_windows", J.Num (float_of_int windows));
                 ("copy_blits", J.Num (float_of_int blits)) ]
              @
-             match (target, par_mode) with
-             | P.Openmp _, pm ->
-               [ ("par_mode", J.Str (Option.value pm ~default:"unknown")) ]
+             match target with
+             | P.Openmp _ ->
+               [ ("par_mode",
+                  J.Str (Option.value par_mode ~default:"unknown")) ]
              | _ -> []))
         in
         let fused, detail, serial = point "native_v2" P.Serial in
