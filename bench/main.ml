@@ -967,15 +967,14 @@ let write_kernels_json () =
 
 (* The Figure-6 counterpart for the real distributed backend: strong and
    weak scaling of the full pipeline at `--target dist` (concurrent
-   ranks, vector engine per rank), overlap-vs-blocking supersteps on
-   identical work, measured halo traffic beside the ARCHER2 model's
-   projection — with the model curve extended past the measurable rank
-   counts to 128 simulated ranks — and per-rank vector-engine
-   utilisation. Self-validating: the file is re-read and failures
-   (overlap losing to blocking, measured throughput falling outside the
-   stated factor of the model, coalesced traffic other than one message
-   per neighbour per superstep, no footprint-avoided stales, a dist
-   answer differing from serial) exit nonzero so CI can gate on it. *)
+   ranks, vector engine per rank), measured halo traffic beside the
+   ARCHER2 model's projection — with the model curve extended past the
+   measurable rank counts to 128 simulated ranks — and per-rank
+   vector-engine utilisation. Self-validating: the file is re-read and
+   failures (measured throughput falling outside the stated factor of
+   the model, coalesced traffic other than one message per neighbour
+   per superstep, no footprint-avoided stales, a dist answer differing
+   from serial) exit nonzero so CI can gate on it. *)
 let write_dmp_json () =
   let module J = Fsc_obs.Obs.Json in
   let module Dk = Fsc_dmp.Dist_kernel in
@@ -1093,67 +1092,6 @@ let write_dmp_json () =
             ("mcells", J.Num mc) ])
       rank_list
   in
-  (* overlap vs blocking on identical work, driven through the executor
-     directly with a real pool attached so the comparison measures the
-     superstep structures (without one, overlap collapses to the
-     blocking schedule): overlap runs one phase fewer per superstep,
-     so best-of-N must not lose. This is the measurement behind
-     Dist_kernel's automatic choice of overlap whenever a pool exists. *)
-  let ranks_ovb = 4 in
-  let ov, bl =
-    let module DX = Fsc_dmp.Dist_exec in
-    let iters_ovb = iters * 5 in
-    let d = Fsc_dmp.Decomp.create ~global:(n, n, n) ~ranks:ranks_ovb in
-    let init name (i, j, k) =
-      if name = "u" then V.gs_init i j k else 0.0
-    in
-    let pool = Fsc_rt.Domain_pool.create 2 in
-    let bench mode =
-      let t = DX.create ~pool d ~fields:[ "u"; "unew" ] ~init in
-      let local_grids t rank =
-        let st = t.DX.ranks.(rank) in
-        let lu = DX.field st "u" and ln = DX.field st "unew" in
-        let lx, ly, lz = Fsc_dmp.Decomp.local_extents d rank in
-        ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
-          { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
-      in
-      let best = ref infinity in
-      for _ = 1 to reps do
-        let t0 = Unix.gettimeofday () in
-        DX.iterate t ~mode ~iters:iters_ovb ~swap_fields:[ "u" ]
-          ~sweep:(fun t ~rank w ->
-            let gu, gn = local_grids t rank in
-            V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.DX.w_jlo ~jhi:w.DX.w_jhi
-              ~klo:w.DX.w_klo ~khi:w.DX.w_khi ())
-          ~finish:(fun t ~rank ->
-            let gu, gn = local_grids t rank in
-            V.gs3d_copyback ~u:gu ~unew:gn ())
-          ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt
-      done;
-      float_of_int (n * n * n * iters_ovb) /. !best /. 1e6
-    in
-    (* interleaved best-of rounds: each mode's best converges to its
-       floor, and overlap's floor is structurally lower (one phase
-       fewer), so extra rounds settle scheduling noise toward the truth
-       instead of gambling on it *)
-    let bl = ref (bench DX.Blocking) in
-    let ov = ref (bench DX.Overlap) in
-    let rounds = ref 1 in
-    while !ov < !bl && !rounds < 10 do
-      incr rounds;
-      bl := Float.max !bl (bench DX.Blocking);
-      ov := Float.max !ov (bench DX.Overlap)
-    done;
-    Fsc_rt.Domain_pool.shutdown pool;
-    (!ov, !bl)
-  in
-  if ov < bl then
-    failures :=
-      Printf.sprintf
-        "overlap (%.2f MCells/s) slower than blocking (%.2f MCells/s)" ov bl
-      :: !failures;
   (* coalescing traffic shape: supersteps over a three-field swap set
      move exactly one message per neighbour per superstep, however many
      fields the swap set holds; the payload carries every field's halo
@@ -1168,9 +1106,7 @@ let write_dmp_json () =
       DX.create d ~fields:swap ~init:(fun _ (i, j, k) ->
           float_of_int ((i * 7 + j * 3 + k) mod 11))
     in
-    DX.iterate t ~iters:iters_co ~swap_fields:swap
-      ~sweep:(fun _ ~rank:_ _ -> ())
-      ();
+    DX.iterate t ~iters:iters_co ~swap_fields:swap ~compute:(fun ~rank:_ -> ());
     let msgs, bytes = DX.stats t in
     let neighbours =
       List.fold_left ( + ) 0
@@ -1250,13 +1186,7 @@ let write_dmp_json () =
              ("measured_mcells", J.Num !measured_8);
              ("model_mcells", J.Num model_8) ]);
         ("coalescing", coalescing);
-        ("footprint_staling", footprint_staling);
-        ("overlap_vs_blocking",
-         J.Obj
-           [ ("ranks", J.Num (float_of_int ranks_ovb));
-             ("overlap_mcells", J.Num ov);
-             ("blocking_mcells", J.Num bl);
-             ("ratio", J.Num (ov /. bl)) ]) ]
+        ("footprint_staling", footprint_staling) ]
   in
   let path = "BENCH_dmp.json" in
   let oc = open_out path in
@@ -1274,22 +1204,18 @@ let write_dmp_json () =
   | parsed ->
     if
       J.member "strong" parsed = None
-      || J.member "overlap_vs_blocking" parsed = None
       || J.member "projected" parsed = None
       || J.member "coalescing" parsed = None
       || J.member "footprint_staling" parsed = None
     then
       failures :=
         (path
-        ^ ": missing \
-           strong/overlap_vs_blocking/projected/coalescing/footprint_staling")
+        ^ ": missing strong/projected/coalescing/footprint_staling")
         :: !failures
   | exception J.Parse_error e ->
     failures := (path ^ ": unparseable: " ^ e) :: !failures);
-  Printf.printf
-    "distributed scaling written to %s (%d strong points, overlap/blocking \
-     %.2f)\n"
-    path (List.length strong) (ov /. bl);
+  Printf.printf "distributed scaling written to %s (%d strong points)\n" path
+    (List.length strong);
   if !failures <> [] then begin
     List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) !failures;
     exit 1
@@ -1550,25 +1476,15 @@ let figure6 () =
     | _ -> 0.0
   in
   let t = Fsc_dmp.Dist_exec.create d ~fields:[ "u"; "unew" ] ~init in
-  let local_grids t rank =
-    let st = t.Fsc_dmp.Dist_exec.ranks.(rank) in
-    let lu = Fsc_dmp.Dist_exec.field st "u" in
-    let ln = Fsc_dmp.Dist_exec.field st "unew" in
-    let lx, ly, lz = Fsc_dmp.Decomp.local_extents d rank in
-    ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
-      { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
-  in
   let t0 = Unix.gettimeofday () in
-  Fsc_dmp.Dist_exec.iterate t ~iters ~swap_fields:[ "u" ]
-    ~sweep:(fun t ~rank w ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.Fsc_dmp.Dist_exec.w_jlo
-        ~jhi:w.Fsc_dmp.Dist_exec.w_jhi ~klo:w.Fsc_dmp.Dist_exec.w_klo
-        ~khi:w.Fsc_dmp.Dist_exec.w_khi ())
-    ~finish:(fun t ~rank ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_copyback ~u:gu ~unew:gn ())
-    ();
+  Fsc_dmp.Dist_exec.iterate t ~iters ~swap_fields:[ "u" ] ~compute:(fun ~rank ->
+      let st = t.Fsc_dmp.Dist_exec.ranks.(rank) in
+      let lx, ly, lz = Fsc_dmp.Decomp.local_extents d rank in
+      let local name =
+        { V.g_buf = Fsc_dmp.Dist_exec.field st name; V.g_nx = lx;
+          V.g_ny = ly; V.g_nz = lz }
+      in
+      V.gs3d_run ~u:(local "u") ~unew:(local "unew") ~iters:1 ());
   let dt = Unix.gettimeofday () -. t0 in
   let msgs, bytes = Fsc_dmp.Dist_exec.stats t in
   Printf.printf
@@ -1769,8 +1685,7 @@ let bechamel_suite () =
         Test.make ~name:"fig6/halo-superstep"
           (Staged.stage (fun () ->
                Fsc_dmp.Dist_exec.iterate dist ~iters:1 ~swap_fields:[ "u" ]
-                 ~sweep:(fun _ ~rank:_ _ -> ())
-                 ()));
+                 ~compute:(fun ~rank:_ -> ())));
         (* compilation pipeline itself *)
         Test.make ~name:"pipeline/compile-gs"
           (Staged.stage (fun () ->

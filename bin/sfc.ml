@@ -389,9 +389,7 @@ let compile_cmd =
 let print_dist_stats dst =
   let module Dk = Fsc_dmp.Dist_kernel in
   let s = Dk.stats dst in
-  Printf.eprintf "dist: %d ranks, %s supersteps, %s engine\n"
-    s.Dk.ds_ranks
-    (Fsc_dmp.Dist_exec.mode_name s.Dk.ds_mode)
+  Printf.eprintf "dist: %d ranks, %s engine\n" s.Dk.ds_ranks
     (Dk.engine_name s.Dk.ds_engine);
   if s.Dk.ds_stales_avoided > 0 then
     Printf.eprintf
@@ -399,15 +397,10 @@ let print_dist_stats dst =
        writes kept halos fresh)\n"
       s.Dk.ds_stales_avoided;
   Printf.eprintf
-    "dist: %d distributed runs, %d host fallbacks, %d overlap / %d \
-     blocking / %d fused stages\n"
-    s.Dk.ds_dist_runs s.Dk.ds_fallback_runs s.Dk.ds_overlap_stages
-    s.Dk.ds_blocking_stages s.Dk.ds_fused_stages;
-  if s.Dk.ds_thin_y_fallbacks > 0 || s.Dk.ds_thin_z_fallbacks > 0 then
-    Printf.eprintf
-      "dist: overlap fallbacks by reason: %d thin-y, %d thin-z (per rank \
-       per superstep)\n"
-      s.Dk.ds_thin_y_fallbacks s.Dk.ds_thin_z_fallbacks;
+    "dist: %d distributed runs, %d host fallbacks, %d exchanged / %d fused \
+     stages\n"
+    s.Dk.ds_dist_runs s.Dk.ds_fallback_runs s.Dk.ds_exchanged_stages
+    s.Dk.ds_fused_stages;
   if s.Dk.ds_total_nests > 0 then
     Printf.eprintf "dist: vector engine on %d/%d per-rank nests\n"
       s.Dk.ds_vec_nests s.Dk.ds_total_nests;

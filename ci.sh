@@ -179,9 +179,7 @@ rm -rf "$NCACHE"
 
 # Distributed-backend smoke: the dist target must reproduce the serial
 # grid checksums exactly, a rank count the grid cannot host must fail
-# with the located decomposition diagnostic, and the dist bench must
-# emit a well-formed BENCH_dmp.json (it exits nonzero when overlap
-# loses to blocking).
+# with the located decomposition diagnostic.
 serial_grids=$("$SFC" run examples/laplace.f90 --stats 2>&1 >/dev/null \
   | grep '^grid')
 dist_grids=$("$SFC" run examples/laplace.f90 --target dist --ranks 4 \
@@ -210,6 +208,8 @@ echo "dist smoke: 4-rank run matches serial, degenerate ranks rejected"
 # and fuses the exchange away. The 4-rank traffic is pinned: 8 coalesced
 # messages (7 kB; the unfused schedule paid 24 messages, 21 kB), 2 fused
 # stages and 3 stales avoided, with grid checksums identical to serial.
+# One per-rank runner per stage puts 8 of its 9 per-rank nests on the
+# vector engine (the in-place probe nest runs through the closure).
 res_serial=$("$SFC" run examples/residual.f90 --stats 2>&1 >/dev/null \
   | grep '^grid')
 res_dist=$("$SFC" run examples/residual.f90 --target dist --ranks 4 \
@@ -219,14 +219,15 @@ if [ "$res_serial" != "$(printf '%s\n' "$res_dist" | grep '^grid')" ]; then
   printf 'serial:\n%s\ndist:\n%s\n' "$res_serial" "$res_dist"
   exit 1
 fi
-for want in '8 msgs, 7 kB' '2 fused stages' '3 halo stale(s) avoided'; do
+for want in '8 msgs, 7 kB' '2 fused stages' '3 halo stale(s) avoided' \
+    'vector engine on 8/9 per-rank nests'; do
   if ! printf '%s\n' "$res_dist" | grep -qF "$want"; then
     echo "ci: residual dist --stats missing '$want'"
     printf '%s\n' "$res_dist"
     exit 1
   fi
 done
-echo "dist fusion smoke: residual at 4 ranks moves 8 msgs / 7 kB, 2 fused stages, 3 stales avoided, bitwise vs serial"
+echo "dist fusion smoke: residual at 4 ranks moves 8 msgs / 7 kB, 2 fused stages, 3 stales avoided, 8/9 vector nests, bitwise vs serial"
 
 # Concurrent-compile smoke: compiles on several worker domains share one
 # process-wide IR id counter. Many distinct copies of one PW program,
@@ -263,9 +264,8 @@ echo "concurrent batch smoke: $ncopies PW copies on 2 workers match 1 worker exa
 
 # The dist bench self-validates (strong-scaling traffic present, the
 # 8-rank point within the stated factor of the Net_model projection,
-# coalescing cutting messages by the swap-set size, overlap >= blocking)
-# and exits nonzero on any violation; CI only re-checks the sections
-# landed in the file.
+# coalescing cutting messages by the swap-set size) and exits nonzero
+# on any violation; CI only re-checks the sections landed in the file.
 DISTDIR=$(mktemp -d)
 if ! (cd "$DISTDIR" && "$ROOT/_build/default/bench/main.exe" \
     --dist --quick); then
@@ -274,7 +274,6 @@ if ! (cd "$DISTDIR" && "$ROOT/_build/default/bench/main.exe" \
   exit 1
 fi
 if ! [ -s "$DISTDIR/BENCH_dmp.json" ] \
-    || ! grep -q '"overlap_vs_blocking"' "$DISTDIR/BENCH_dmp.json" \
     || ! grep -q '"projected"' "$DISTDIR/BENCH_dmp.json" \
     || ! grep -q '"model_gate"' "$DISTDIR/BENCH_dmp.json" \
     || ! grep -q '"coalescing"' "$DISTDIR/BENCH_dmp.json" \

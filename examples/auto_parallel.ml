@@ -72,28 +72,19 @@ let () =
   in
   let pool = Fsc_rt.Domain_pool.create 2 in
   let t = DX.create ~pool d ~fields:[ "u"; "unew" ] ~init in
-  let local_grids t rank =
-    let st = t.DX.ranks.(rank) in
-    let lu = DX.field st "u" and ln = DX.field st "unew" in
-    let lx, ly, lz = D.local_extents d rank in
-    ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
-      { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
-  in
-  (* overlapped superstep: the interior block is swept while the halo
-     messages are in flight, then the boundary shells finish *)
-  DX.iterate t ~mode:DX.Overlap ~iters ~swap_fields:[ "u" ]
-    ~sweep:(fun t ~rank w ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.DX.w_jlo ~jhi:w.DX.w_jhi
-        ~klo:w.DX.w_klo ~khi:w.DX.w_khi ())
-    ~finish:(fun t ~rank ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_copyback ~u:gu ~unew:gn ())
-    ();
+  (* one superstep per iteration: every rank posts its halos, then
+     receives them and runs sweep + copy-back on its local grid *)
+  DX.iterate t ~iters ~swap_fields:[ "u" ] ~compute:(fun ~rank ->
+      let st = t.DX.ranks.(rank) in
+      let lx, ly, lz = D.local_extents d rank in
+      let local name =
+        { V.g_buf = DX.field st name; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz }
+      in
+      V.gs3d_run ~u:(local "u") ~unew:(local "unew") ~iters:1 ());
   Fsc_rt.Domain_pool.shutdown pool;
   let msgs, bytes = DX.stats t in
   Printf.printf
-    "\nSPMD run (overlapped): %d iterations, %d halo messages, %d kB moved\n"
+    "\nSPMD run: %d iterations, %d halo messages, %d kB moved\n"
     iters msgs (bytes / 1024);
 
   (* --- validation against serial --- *)

@@ -12,21 +12,11 @@
    are separated by a cheap reusable spin-then-block barrier. One pool
    launch amortises over every phase of every superstep in the call.
 
-   Two superstep schedules, selected per call:
-
-   - [Blocking] mirrors the paper's non-overlapped DMP lowering: all
-     halo sends complete, then all receives complete, then every rank
-     sweeps its whole local interior — three phases per superstep,
-     with every rank idle while messages move.
-   - [Overlap] computes the interior block (which reads no halo cell)
-     concurrently with the exchange, then finishes the boundary shells
-     once the halos have landed — two phases, compute hiding the
-     communication phase. Overlap only needs interior thickness >= 3 in
-     the axes that are actually decomposed (an axis with a single
-     process row exchanges nothing, so its halo planes are static
-     global boundaries and safe to read while messages fly); a rank too
-     thin in an active axis falls back to the blocking whole-sweep for
-     that superstep, counted per reason in [dmp.fallbacks.*].
+   There is one superstep schedule, the paper's non-overlapped DMP
+   lowering: every rank posts its halos, then every rank receives them
+   and computes over its whole local interior — two phases per
+   superstep. Messages are in-memory mailbox copies, so there is no
+   latency for a communication/computation overlap to hide.
 
    Halo messages are *coalesced*: one message per neighbour per
    superstep carries every field in the swap set behind a field-offset
@@ -39,27 +29,6 @@ module Obs = Fsc_obs.Obs
 
 let c_msgs = Obs.counter "dmp.msgs"
 let c_bytes = Obs.counter "dmp.bytes"
-let c_overlap_hits = Obs.counter "dmp.overlap_hits"
-let c_fallbacks = Obs.counter "dmp.fallbacks"
-let c_fb_thin_y = Obs.counter "dmp.fallbacks.thin_y"
-let c_fb_thin_z = Obs.counter "dmp.fallbacks.thin_z"
-
-type mode =
-  | Blocking
-  | Overlap
-
-let mode_name = function
-  | Blocking -> "blocking"
-  | Overlap -> "overlap"
-
-(* A sub-range of one rank's local interior, in local 1-based interior
-   coordinates (j over y, k over z; 2-D fields have k = 1..1). *)
-type window = {
-  w_jlo : int;
-  w_jhi : int;
-  w_klo : int;
-  w_khi : int;
-}
 
 type rank_state = {
   rs_rank : int;
@@ -73,9 +42,6 @@ type t = {
   ranks : rank_state array;
   pool : Pool.t option;
   field_rank : int; (* 2 or 3: local grids are (lx+2)(ly+2)[(lz+2)] *)
-  (* overlap fallback reasons, counted when phase lists are built *)
-  mutable fb_thin_y : int;
-  mutable fb_thin_z : int;
 }
 
 (* Fill one rank's local grid from the global-coordinate initialiser.
@@ -181,9 +147,7 @@ let create ?pool ?(field_rank = 3) decomp ~fields ~init =
         { rs_rank = rank; rs_fields = [];
           rs_range = Decomp.local_range decomp rank })
   in
-  let t =
-    { decomp; mpi; ranks; pool; field_rank; fb_thin_y = 0; fb_thin_z = 0 }
-  in
+  let t = { decomp; mpi; ranks; pool; field_rank } in
   List.iter (fun name -> set_field t name (init name)) fields;
   t
 
@@ -378,110 +342,20 @@ let consume_coalesced t ~names ~rank =
 (* Supersteps                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let interior t rank =
-  let _, ly, lz = Decomp.local_extents t.decomp rank in
-  { w_jlo = 1; w_jhi = ly; w_klo = 1; w_khi = lz }
-
-(* Interior block and boundary shells: disjoint, union = whole local
-   interior. The block reads no *exchanged* halo cell under
-   single-cell-offset stencils, which is what makes phase-1 interior
-   compute safe while the halos are still in flight.
-
-   An axis is only "active" when the process grid actually decomposes
-   it: with a single process row along an axis no rank has a neighbour
-   there, its halo planes are static global boundary values, and
-   reading them during overlap is safe — so a thin-but-tall block
-   (ly >= 3, lz = 1 with pz = 1) still overlaps via y-shells alone. *)
-let y_active t = t.decomp.Decomp.py > 1
-let z_active t = t.field_rank = 3 && t.decomp.Decomp.pz > 1
-
-let overlap_capable t rank =
-  let _, ly, lz = Decomp.local_extents t.decomp rank in
-  ((not (y_active t)) || ly >= 3) && ((not (z_active t)) || lz >= 3)
-
-let interior_block t rank =
-  let _, ly, lz = Decomp.local_extents t.decomp rank in
-  let jlo, jhi = if y_active t then (2, ly - 1) else (1, ly) in
-  let klo, khi = if z_active t then (2, lz - 1) else (1, lz) in
-  { w_jlo = jlo; w_jhi = jhi; w_klo = klo; w_khi = khi }
-
-let shells t rank =
-  let _, ly, lz = Decomp.local_extents t.decomp rank in
-  let y_shells =
-    if y_active t then
-      [ { w_jlo = 1; w_jhi = 1; w_klo = 1; w_khi = lz };
-        { w_jlo = ly; w_jhi = ly; w_klo = 1; w_khi = lz } ]
-    else []
-  in
-  let jlo, jhi = if y_active t then (2, ly - 1) else (1, ly) in
-  let z_shells =
-    if z_active t then
-      [ { w_jlo = jlo; w_jhi = jhi; w_klo = 1; w_khi = 1 };
-        { w_jlo = jlo; w_jhi = jhi; w_klo = lz; w_khi = lz } ]
-    else []
-  in
-  y_shells @ z_shells
-
-(* Record why a rank cannot overlap; called while building phase lists,
-   on the caller, so plain mutable counters suffice. *)
-let count_overlap_disposition t =
-  Array.iter
-    (fun st ->
-      let rank = st.rs_rank in
-      if overlap_capable t rank then Obs.incr c_overlap_hits
-      else begin
-        Obs.incr c_fallbacks;
-        let _, ly, lz = Decomp.local_extents t.decomp rank in
-        if y_active t && ly < 3 then begin
-          t.fb_thin_y <- t.fb_thin_y + 1;
-          Obs.incr c_fb_thin_y
-        end;
-        if z_active t && lz < 3 then begin
-          t.fb_thin_z <- t.fb_thin_z + 1;
-          Obs.incr c_fb_thin_z
-        end
-      end)
-    t.ranks
-
-let fallback_reasons t = (t.fb_thin_y, t.fb_thin_z)
-
 (* Build one superstep as a list of phases (each a per-rank body);
    everything sent in a phase is receivable in the next. The phase list
    is data: [run_phases] realises the barriers between phases, and
    callers may concatenate the phases of many supersteps into one
    [run_phases] call to amortise the pool launch. *)
-let superstep_phases t ~swap_fields ~mode ~sweep
-    ?(finish = fun ~rank:_ -> ()) () =
-  let post ~rank = post_coalesced t ~names:swap_fields ~rank in
-  let consume ~rank = consume_coalesced t ~names:swap_fields ~rank in
-  (* With no pool the ranks run sequentially and there is no concurrent
-     progress for overlap to exploit: the window-split sweep is pure
-     overhead, so collapse to the fused blocking schedule. *)
-  let mode = if t.pool = None then Blocking else mode in
+let superstep_phases t ~swap_fields ~compute =
   if swap_fields = [] then
     (* nothing to exchange (a fused superstep): one compute-only phase *)
-    [ (fun ~rank ->
-        sweep ~rank (interior t rank);
-        finish ~rank) ]
+    [ compute ]
   else
-    match mode with
-    | Blocking ->
-      (* comms complete globally before any compute starts *)
-      [ post; consume;
-        (fun ~rank ->
-          sweep ~rank (interior t rank);
-          finish ~rank) ]
-    | Overlap ->
-      count_overlap_disposition t;
-      [ (fun ~rank ->
-          post ~rank;
-          if overlap_capable t rank then sweep ~rank (interior_block t rank));
-        (fun ~rank ->
-          consume ~rank;
-          if overlap_capable t rank then
-            List.iter (fun w -> sweep ~rank w) (shells t rank)
-          else sweep ~rank (interior t rank);
-          finish ~rank) ]
+    [ (fun ~rank -> post_coalesced t ~names:swap_fields ~rank);
+      (fun ~rank ->
+        consume_coalesced t ~names:swap_fields ~rank;
+        compute ~rank) ]
 
 (* Execute a phase list: each team member is pinned to a fixed
    contiguous slice of ranks for the whole list and phases are
@@ -507,23 +381,13 @@ let run_phases t phases =
           ~barrier)
   | _ -> run_slice ~lo:0 ~hi:n ~barrier:ignore
 
-(* Run [iters] supersteps: swap halos of [swap_fields], then run the
-   windowed [sweep] (and the per-rank [finish]) on each rank. All the
-   supersteps' phases run inside a single pool launch. *)
-let iterate t ?(mode = Blocking) ~iters ~swap_fields ~sweep ?finish () =
-  let finish =
-    match finish with
-    | Some f -> Some (fun ~rank -> f t ~rank)
-    | None -> None
-  in
-  let phases =
-    List.concat
-      (List.init iters (fun _ ->
-           superstep_phases t ~swap_fields ~mode
-             ~sweep:(fun ~rank w -> sweep t ~rank w)
-             ?finish ()))
-  in
-  run_phases t phases
+(* Run [iters] supersteps: swap halos of [swap_fields], then run
+   [compute] on each rank. All the supersteps' phases run inside a
+   single pool launch. *)
+let iterate t ~iters ~swap_fields ~compute =
+  run_phases t
+    (List.concat
+       (List.init iters (fun _ -> superstep_phases t ~swap_fields ~compute)))
 
 (* ------------------------------------------------------------------ *)
 (* Gather                                                              *)

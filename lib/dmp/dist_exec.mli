@@ -6,36 +6,15 @@
 
     Ranks execute in parallel on a {!Fsc_rt.Domain_pool}. A superstep is
     a list of phases; a pinned-team barrier publishes one phase's sends
-    to the next phase's receives. Halo messages are coalesced: one
-    message per neighbour per superstep carries the whole swap set. *)
+    to the next phase's receives. Every superstep follows the paper's
+    non-overlapped DMP lowering: all ranks post their halos, then each
+    rank receives and computes over its whole local interior. Halo
+    messages are coalesced: one message per neighbour per superstep
+    carries the whole swap set. *)
 
 module Mpi = Fsc_rt.Mpi_sim
 module Rt = Fsc_rt.Memref_rt
 module Pool = Fsc_rt.Domain_pool
-
-(** Superstep discipline. [Blocking] is the paper's non-overlapped DMP
-    lowering: all halo traffic completes globally, then every rank
-    sweeps its whole local interior (three phases per superstep).
-    [Overlap] computes the halo-independent interior block while
-    messages are in flight, then finishes the boundary shells once the
-    halos have landed (two phases, compute hiding communication).
-    Without a pool the ranks run sequentially and overlap has nothing
-    to hide behind, so [Overlap] collapses to the blocking schedule. *)
-type mode =
-  | Blocking
-  | Overlap
-
-val mode_name : mode -> string
-
-(** A sub-range of one rank's local interior, in local 1-based interior
-    coordinates: [j] over y in [w_jlo..w_jhi], [k] over z in
-    [w_klo..w_khi] (2-D fields have k = 1..1). *)
-type window = {
-  w_jlo : int;
-  w_jhi : int;
-  w_klo : int;
-  w_khi : int;
-}
 
 type rank_state = {
   rs_rank : int;
@@ -51,9 +30,6 @@ type t = {
   ranks : rank_state array;
   pool : Pool.t option;
   field_rank : int;  (** 2 or 3 *)
-  mutable fb_thin_y : int;
-      (** overlap fallbacks because an active y axis is thinner than 3 *)
-  mutable fb_thin_z : int;  (** same, z axis *)
 }
 
 (** Create the distributed state. [init name (i,j,k)] gives the global
@@ -82,31 +58,6 @@ val set_field_from_global : t -> string -> Rt.t -> unit
 val has_field : t -> string -> bool
 val field : rank_state -> string -> Rt.t
 
-(** The whole local interior of a rank. *)
-val interior : t -> int -> window
-
-(** Whether the rank's local block is thick enough to split into a
-    halo-independent interior block plus boundary shells: interior
-    extent >= 3 in every *active* axis (an axis actually decomposed by
-    the process grid — a single process row exchanges nothing there, so
-    that axis's halos are static global boundaries and impose no
-    thickness requirement). Thin ranks fall back to the blocking
-    whole-sweep inside an [Overlap] superstep, counted per reason in
-    [fb_thin_y] / [fb_thin_z]. *)
-val overlap_capable : t -> int -> bool
-
-(** Interior block (reads no exchanged halo cell under one-cell-offset
-    stencils) and its complementary boundary shells; disjoint, union =
-    interior. *)
-val interior_block : t -> int -> window
-
-val shells : t -> int -> window list
-
-(** (thin-y, thin-z) overlap fallback counts accumulated by this
-    executor's [Overlap] supersteps (one count per affected rank per
-    superstep). *)
-val fallback_reasons : t -> int * int
-
 (** Pack the swap set [names] for the neighbour in [dir] into one
     self-describing payload: header = field count + per-field absolute
     offsets, then the halo planes in swap-set order. Exposed for
@@ -126,20 +77,16 @@ val unpack_coalesced :
   float array ->
   unit
 
-(** Build one superstep as a phase list (each phase a per-rank body):
-    swap the halos of [swap_fields] (one message per neighbour for the
-    whole swap set), run the windowed
-    [sweep] over every rank's interior (split per [mode]), then the
-    per-rank [finish]. An empty swap set builds a single compute-only
-    phase. Callers may concatenate many supersteps' phases into one
-    {!run_phases} call. *)
+(** Build one superstep as a phase list (each phase a per-rank body).
+    With a non-empty swap set it has two phases: every rank posts one
+    message per neighbour carrying the halos of [swap_fields]; then
+    every rank receives its halos and runs [compute]. An empty swap set
+    (a fused superstep) builds the single phase [compute]. Callers may
+    concatenate many supersteps' phases into one {!run_phases} call. *)
 val superstep_phases :
   t ->
   swap_fields:string list ->
-  mode:mode ->
-  sweep:(rank:int -> window -> unit) ->
-  ?finish:(rank:int -> unit) ->
-  unit ->
+  compute:(rank:int -> unit) ->
   (rank:int -> unit) list
 
 (** Execute a phase list over all ranks: one pool-team launch, each
@@ -147,16 +94,13 @@ val superstep_phases :
     phases; sequential without a pool. *)
 val run_phases : t -> (rank:int -> unit) list -> unit
 
-(** Run [iters] supersteps inside a single pool launch. [mode] defaults
-    to [Blocking]. *)
+(** Run [iters] supersteps of {!superstep_phases} inside a single pool
+    launch. *)
 val iterate :
   t ->
-  ?mode:mode ->
   iters:int ->
   swap_fields:string list ->
-  sweep:(t -> rank:int -> window -> unit) ->
-  ?finish:(t -> rank:int -> unit) ->
-  unit ->
+  compute:(rank:int -> unit) ->
   unit
 
 (** Gather a field into a global grid. Each rank contributes its

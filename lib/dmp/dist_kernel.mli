@@ -3,7 +3,7 @@
     {!Fsc_rt.Kernel_compile} are re-targeted at SPMD execution over a
     {!Decomp} — each rank runs ownership-clipped local bounds through
     the closure or vector engine, with {!Dist_exec} supersteps providing
-    halo swaps and comm/compute overlap.
+    the halo swaps.
 
     Coherence follows the GPU device-resident contract: buffers live
     scattered across ranks while distributed kernels run and are
@@ -22,12 +22,10 @@ val engine_name : engine -> string
 type state
 
 (** [create ?pool ~ranks ~engine ()] — one state per linked artifact.
-    The superstep schedule is chosen per stage, automatically:
-    - {b overlap} when [pool] runs the ranks concurrently and the
-      stage's nests write only inside the interior; {b blocking}
-      otherwise (no pool, or a fused stage with nothing to exchange);
-      ranks too thin to split fall back to the blocking whole-sweep
-      inside an overlap superstep;
+    Each stage runs as one {!Dist_exec} superstep: halos are exchanged,
+    then every rank runs the stage's nests over its whole local
+    interior (concurrently when [pool] is given). Exchanges are shaped
+    automatically:
     - {b fusion}: a stage skips its halo exchange when every swap
       field's halos are already fresh — scattered or exchanged since
       last written — so e.g. the superstep right after a scatter pays
@@ -96,26 +94,20 @@ type group_stats = {
 
 type stats = {
   ds_ranks : int;
-  ds_mode : Dist_exec.mode;
-      (** [Overlap] when a pool runs the ranks concurrently, else
-          [Blocking] (stages that cannot overlap are counted in
-          [ds_blocking_stages]) *)
   ds_engine : engine;
   ds_groups : group_stats list;
   ds_dist_runs : int;  (** distributed kernel executions, cumulative *)
   ds_fallback_runs : int;
-  ds_overlap_stages : int;
-  ds_blocking_stages : int;
+      (** kernel executions that ran on the host ({!run_fallback}),
+          cumulative; equals the [dmp.fallbacks] counter's increments *)
+  ds_exchanged_stages : int;
+      (** supersteps that exchanged halos, cumulative *)
   ds_fused_stages : int;
       (** supersteps whose halo exchange was fused away (halos already
           fresh), cumulative *)
   ds_stales_avoided : int;
       (** stage writes whose footprint was proven off every mirrored
           plane, leaving the field's halos fresh; cumulative *)
-  ds_thin_y_fallbacks : int;
-      (** overlap fallbacks because an active y axis was thinner than 3
-          (per affected rank per superstep) *)
-  ds_thin_z_fallbacks : int;
   ds_vec_nests : int;
       (** vectorised / total nests over compiled per-rank runners *)
   ds_total_nests : int;

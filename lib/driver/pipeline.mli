@@ -156,8 +156,8 @@ val compile : options -> string -> compiled_artifact
 
     For [Dist] targets, ranks execute concurrently on a domain pool
     sized [min ranks (recommended_size ())], and {!Fsc_dmp.Dist_kernel}
-    schedules the halo supersteps itself: overlapped when that pool
-    exists, fused away when the halos are already fresh, coalesced into
+    schedules the halo supersteps itself: exchanged before each stage
+    computes, fused away when the halos are already fresh, coalesced into
     one message per neighbour, and staled only by writes whose affine
     footprint reaches a block-boundary plane. Under {!Engine_interp}
     the program runs entirely on the host interpreter (no

@@ -104,44 +104,6 @@ let gs3d_copyback ?pool ~u ~unew () =
       do_k k
     done
 
-(* Windowed variants for distributed per-rank execution: sweep only
-   j in [jlo..jhi], k in [klo..khi] of the local interior. No pool —
-   these run inside pool workers (one rank per worker), and nesting
-   pool use would deadlock. *)
-let gs3d_sweep_in ~u ~unew ~jlo ~jhi ~klo ~khi () =
-  let du = u.g_buf.Memref_rt.data and dn = unew.g_buf.Memref_rt.data in
-  let _, sy, sz = strides u in
-  let nx = u.g_nx in
-  for k = klo to khi do
-    for j = jlo to jhi do
-      let row = (j * sy) + (k * sz) in
-      for i = row + 1 to row + nx do
-        let s =
-          A1.unsafe_get du (i - 1)
-          +. A1.unsafe_get du (i + 1)
-          +. A1.unsafe_get du (i - sy)
-          +. A1.unsafe_get du (i + sy)
-          +. A1.unsafe_get du (i - sz)
-          +. A1.unsafe_get du (i + sz)
-        in
-        A1.unsafe_set dn i (s /. 6.0)
-      done
-    done
-  done
-
-let gs3d_copyback_in ~u ~unew ~jlo ~jhi ~klo ~khi () =
-  let du = u.g_buf.Memref_rt.data and dn = unew.g_buf.Memref_rt.data in
-  let _, sy, sz = strides u in
-  let nx = u.g_nx in
-  for k = klo to khi do
-    for j = jlo to jhi do
-      let row = (j * sy) + (k * sz) in
-      for i = row + 1 to row + nx do
-        A1.unsafe_set du i (A1.unsafe_get dn i)
-      done
-    done
-  done
-
 let gs3d_run ?pool ~u ~unew ~iters () =
   for _ = 1 to iters do
     gs3d_sweep ?pool ~u ~unew ();

@@ -148,26 +148,24 @@ let prop_split_covers =
 
 (* ---- halo exchange correctness ---- *)
 
-(* Drive the distributed Gauss-Seidel with the windowed vendor kernels:
-   sweep honours the window (interior block or boundary shell under
-   Overlap), copy-back runs per rank once all its windows are done. *)
-let gs_iterate t ~mode ~iters =
-  let local_grids t rank =
-    let st = t.DX.ranks.(rank) in
-    let lu = DX.field st "u" and ln = DX.field st "unew" in
-    let lx, ly, lz = D.local_extents t.DX.decomp rank in
-    ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
-      { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
+(* Drive the distributed Gauss-Seidel with the vendor kernels: each
+   superstep swaps u's halos, then every rank runs sweep + copy-back
+   over its local grid. *)
+let gs_compute t ~rank =
+  let st = t.DX.ranks.(rank) in
+  let lx, ly, lz = D.local_extents t.DX.decomp rank in
+  let local name =
+    { V.g_buf = DX.field st name; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz }
   in
-  DX.iterate t ~mode ~iters ~swap_fields:[ "u" ]
-    ~sweep:(fun t ~rank w ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.DX.w_jlo ~jhi:w.DX.w_jhi
-        ~klo:w.DX.w_klo ~khi:w.DX.w_khi ())
-    ~finish:(fun t ~rank ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_copyback ~u:gu ~unew:gn ())
-    ()
+  V.gs3d_run ~u:(local "u") ~unew:(local "unew") ~iters:1 ()
+
+let gs_iterate t ~iters =
+  DX.iterate t ~iters ~swap_fields:[ "u" ] ~compute:(gs_compute t)
+
+(* Run [f] with Obs counters live (they are off unless recording). *)
+let with_counters f =
+  Fsc_obs.Obs.set_counters_only true;
+  Fun.protect ~finally:(fun () -> Fsc_obs.Obs.set_counters_only false) f
 
 let gs_serial ~nx ~ny ~nz ~iters =
   let u = V.grid3 ~nx ~ny ~nz and unew = V.grid3 ~nx ~ny ~nz in
@@ -212,8 +210,7 @@ let test_halo_exchange () =
         done
       done)
     t.DX.ranks;
-  DX.iterate t ~iters:1 ~swap_fields:[ "u" ] ~sweep:(fun _ ~rank:_ _ -> ())
-    ();
+  DX.iterate t ~iters:1 ~swap_fields:[ "u" ] ~compute:(fun ~rank:_ -> ());
   (* interior halos restored *)
   Array.iter
     (fun st ->
@@ -234,10 +231,10 @@ let test_halo_exchange () =
       | None -> ())
     t.DX.ranks
 
-(* Distributed GS must be bitwise-identical to serial over the interior,
-   in both superstep modes, at every rank count that fits — including 1,
-   a prime, the full extent of one dimension, and a non-square process
-   grid — with ranks running concurrently on a pool. *)
+(* Distributed GS must be bitwise-identical to serial over the interior
+   at every rank count that fits — including 1, a prime, the full extent
+   of one dimension, and a non-square process grid — with ranks running
+   concurrently on a pool. *)
 let test_distributed_gs_equals_serial () =
   let nx, ny, nz = (6, 8, 10) in
   let iters = 3 in
@@ -246,32 +243,27 @@ let test_distributed_gs_equals_serial () =
       List.iter
         (fun ranks ->
           let d = D.create ~global:(nx, ny, nz) ~ranks in
-          List.iter
-            (fun mode ->
-              let t =
-                DX.create ~pool d ~fields:[ "u"; "unew" ]
-                  ~init:gs_init_fields
-              in
-              let label =
-                Printf.sprintf "%d ranks (%dx%d grid), %s" ranks d.D.py
-                  d.D.pz (DX.mode_name mode)
-              in
-              gs_iterate t ~mode ~iters;
-              let gathered = DX.gather t "u" in
-              (* compare interiors only: distributed halos of the global
-                 boundary follow a different update discipline than the
-                 serial boundary *)
-              Alcotest.(check (float 0.))
-                (label ^ " identical") 0.0
-                (max_interior_diff ~nx ~ny ~nz serial.V.g_buf gathered);
-              if ranks > 1 then begin
-                let msgs, bytes = DX.stats t in
-                Alcotest.(check bool)
-                  (label ^ " messages flowed")
-                  true
-                  (msgs > 0 && bytes > 0)
-              end)
-            [ DX.Blocking; DX.Overlap ])
+          let t =
+            DX.create ~pool d ~fields:[ "u"; "unew" ] ~init:gs_init_fields
+          in
+          let label =
+            Printf.sprintf "%d ranks (%dx%d grid)" ranks d.D.py d.D.pz
+          in
+          gs_iterate t ~iters;
+          let gathered = DX.gather t "u" in
+          (* compare interiors only: distributed halos of the global
+             boundary follow a different update discipline than the
+             serial boundary *)
+          Alcotest.(check (float 0.))
+            (label ^ " identical") 0.0
+            (max_interior_diff ~nx ~ny ~nz serial.V.g_buf gathered);
+          if ranks > 1 then begin
+            let msgs, bytes = DX.stats t in
+            Alcotest.(check bool)
+              (label ^ " messages flowed")
+              true
+              (msgs > 0 && bytes > 0)
+          end)
         (* 1, 2, prime, ny (8 = full y extent), non-square 2x3 *)
         [ 1; 2; 3; ny; 6 ])
 
@@ -374,10 +366,9 @@ let test_coalesced_roundtrip () =
       "escaping offset")
 
 (* Pool-team supersteps (ranks pinned to members, a barrier between
-   phases) are a pure scheduling strategy: in both modes they must
-   gather the grid of the sequential, pool-less schedule bit for bit,
-   move exactly one message per neighbour per superstep, and match
-   serial. *)
+   phases) are a pure scheduling strategy: they must gather the grid of
+   the sequential, pool-less schedule bit for bit, move exactly one
+   message per neighbour per superstep, and match serial. *)
 let test_pooled_supersteps () =
   let nx, ny, nz = (6, 8, 10) in
   let iters = 3 in
@@ -389,62 +380,60 @@ let test_pooled_supersteps () =
            List.length (List.filter_map (D.neighbor d r) D.directions)))
   in
   Fsc_rt.Domain_pool.with_pool 3 (fun pool ->
-      List.iter
-        (fun mode ->
-          let gather_with pool =
-            let t =
-              DX.create ?pool d ~fields:[ "u"; "unew" ] ~init:gs_init_fields
-            in
-            gs_iterate t ~mode ~iters;
-            (DX.gather t "u", fst (DX.stats t))
-          in
-          let pooled, msgs = gather_with (Some pool) in
-          let sequential, seq_msgs = gather_with None in
-          let label = DX.mode_name mode in
-          Alcotest.(check (float 0.))
-            (label ^ ": pooled == sequential") 0.0
-            (max_interior_diff ~nx ~ny ~nz pooled sequential);
-          Alcotest.(check (float 0.))
-            (label ^ ": pooled == serial") 0.0
-            (max_interior_diff ~nx ~ny ~nz serial.V.g_buf pooled);
-          Alcotest.(check int)
-            (label ^ ": one message per neighbour per superstep")
-            (neighbours * iters) msgs;
-          Alcotest.(check int) (label ^ ": same traffic sequential") msgs
-            seq_msgs)
-        [ DX.Blocking; DX.Overlap ])
-
-(* Overlap splits the sweep into interior block + shells; the union must
-   cover each rank's interior exactly once. *)
-let test_overlap_windows_partition () =
-  let d = D.create ~global:(6, 9, 11) ~ranks:6 in
-  let t = DX.create d ~fields:[ "u" ] ~init:(fun _ _ -> 0.0) in
-  Array.iter
-    (fun st ->
-      let rank = st.DX.rs_rank in
-      let _, ly, lz = D.local_extents d rank in
-      let seen = Array.make_matrix (ly + 1) (lz + 1) 0 in
-      let mark w =
-        for j = w.DX.w_jlo to w.DX.w_jhi do
-          for k = w.DX.w_klo to w.DX.w_khi do
-            seen.(j).(k) <- seen.(j).(k) + 1
-          done
-        done
+      let gather_with pool =
+        let t =
+          DX.create ?pool d ~fields:[ "u"; "unew" ] ~init:gs_init_fields
+        in
+        gs_iterate t ~iters;
+        (DX.gather t "u", fst (DX.stats t))
       in
-      if DX.overlap_capable t rank then begin
-        mark (DX.interior_block t rank);
-        List.iter mark (DX.shells t rank)
-      end
-      else mark (DX.interior t rank);
-      for j = 1 to ly do
-        for k = 1 to lz do
-          if seen.(j).(k) <> 1 then
-            Alcotest.failf "rank %d cell (%d,%d) covered %d times" rank j
-              k
-              seen.(j).(k)
-        done
-      done)
-    t.DX.ranks
+      let pooled, msgs = gather_with (Some pool) in
+      let sequential, seq_msgs = gather_with None in
+      Alcotest.(check (float 0.)) "pooled == sequential" 0.0
+        (max_interior_diff ~nx ~ny ~nz pooled sequential);
+      Alcotest.(check (float 0.)) "pooled == serial" 0.0
+        (max_interior_diff ~nx ~ny ~nz serial.V.g_buf pooled);
+      Alcotest.(check int) "one message per neighbour per superstep"
+        (neighbours * iters) msgs;
+      Alcotest.(check int) "same traffic sequential" msgs seq_msgs)
+
+(* The superstep schedule's shape, pinned by the team barriers it
+   costs: with a swap set each superstep is two phases (post; receive +
+   compute), so k supersteps in one launch cross 2k - 1 barriers per
+   team member; a swap-free (fused) superstep is one compute phase, so
+   k of them cross k - 1. The exchanging run must match serial bit for
+   bit, and the swap-free one must run every rank's compute exactly
+   once per superstep without moving a message. *)
+let test_superstep_shape () =
+  let nx, ny, nz = (6, 8, 10) in
+  let k = 3 in
+  let serial = gs_serial ~nx ~ny ~nz ~iters:k in
+  let d = D.create ~global:(nx, ny, nz) ~ranks:4 in
+  let barriers = Fsc_obs.Obs.counter "pool.team_barriers" in
+  with_counters @@ fun () ->
+  Fsc_rt.Domain_pool.with_pool 2 (fun pool ->
+      let members = min (Fsc_rt.Domain_pool.size pool) 4 in
+      let barriers_of f =
+        let before = Fsc_obs.Obs.counter_value barriers in
+        f ();
+        Fsc_obs.Obs.counter_value barriers - before
+      in
+      let t = DX.create ~pool d ~fields:[ "u"; "unew" ] ~init:gs_init_fields in
+      Alcotest.(check int) "swap set: members x (2k - 1) barriers"
+        (members * ((2 * k) - 1))
+        (barriers_of (fun () -> gs_iterate t ~iters:k));
+      Alcotest.(check (float 0.)) "swap set: bitwise serial" 0.0
+        (max_interior_diff ~nx ~ny ~nz serial.V.g_buf (DX.gather t "u"));
+      let t = DX.create ~pool d ~fields:[ "u" ] ~init:gs_init_fields in
+      let calls = Array.make 4 0 in
+      Alcotest.(check int) "swap-free: members x (k - 1) barriers"
+        (members * (k - 1))
+        (barriers_of (fun () ->
+             DX.iterate t ~iters:k ~swap_fields:[] ~compute:(fun ~rank ->
+                 calls.(rank) <- calls.(rank) + 1)));
+      Alcotest.(check (array int)) "swap-free: one compute per superstep"
+        (Array.make 4 k) calls;
+      Alcotest.(check int) "swap-free: no messages" 0 (fst (DX.stats t)))
 
 (* Interior halo planes must never overwrite owner cells in a gather:
    scribble a sentinel into every interior halo, gather, and check no
@@ -790,6 +779,65 @@ end program residual_probe
         [ (1, 0, 8); (2, 2, 3); (8, 20, 3) ])
     [ "r"; "u" ]
 
+(* [dmp.fallbacks] counts exactly the kernel runs that went to the
+   host: none for the residual example at 4 ranks (every stage
+   distributes, exchanged or fused), and one per run for a kernel
+   reading two planes away in a decomposed dimension (beyond the
+   one-cell halo), matching [ds_fallback_runs] in both cases. *)
+let test_pipeline_dist_fallbacks () =
+  let module Dk = Fsc_dmp.Dist_kernel in
+  let wide_src =
+    {|
+program wide_stencil
+  implicit none
+  integer, parameter :: nx = 6, ny = 8, nz = 8
+  integer :: i, j, k
+  real(kind=8), dimension(0:nx+1, 0:ny+1, 0:nz+1) :: u, r
+
+  do k = 0, nz + 1
+    do j = 0, ny + 1
+      do i = 0, nx + 1
+        u(i, j, k) = 0.01d0 * dble(i) + 0.02d0 * dble(j) + 0.03d0 * dble(k)
+        r(i, j, k) = 0.0d0
+      end do
+    end do
+  end do
+
+  do k = 1, nz
+    do j = 2, ny - 1
+      do i = 1, nx
+        r(i, j, k) = u(i, j-2, k) + u(i, j+2, k)
+      end do
+    end do
+  end do
+end program wide_stencil
+|}
+  in
+  let fallbacks = Fsc_obs.Obs.counter "dmp.fallbacks" in
+  with_counters @@ fun () ->
+  let host_runs ~label ~grid src =
+    let serial =
+      run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid src
+    in
+    let before = Fsc_obs.Obs.counter_value fallbacks in
+    let dist, stats =
+      run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist 4) ~grid
+        src
+    in
+    let counted = Fsc_obs.Obs.counter_value fallbacks - before in
+    check_bitwise ~msg:label serial dist;
+    match stats with
+    | Some s ->
+      Alcotest.(check int) (label ^ ": dmp.fallbacks = ds_fallback_runs")
+        s.Dk.ds_fallback_runs counted;
+      counted
+    | None -> Alcotest.failf "%s: no dist state" label
+  in
+  Alcotest.(check int) "residual: no host fallbacks" 0
+    (host_runs ~label:"residual" ~grid:"u" (B.residual ()));
+  Alcotest.(check bool) "wide stencil: runs on the host" true
+    (host_runs ~label:"wide" ~grid:"r" wide_src > 0)
+
 (* A grid too small for the rank count must fail with the located
    decomposition diagnostic, not a degenerate layout or a crash. *)
 let test_pipeline_dist_degenerate () =
@@ -825,8 +873,8 @@ let () =
            test_coalesced_roundtrip;
          Alcotest.test_case "pooled vs sequential supersteps" `Quick
            test_pooled_supersteps;
-         Alcotest.test_case "overlap windows partition interior" `Quick
-           test_overlap_windows_partition;
+         Alcotest.test_case "superstep schedule shape" `Quick
+           test_superstep_shape;
          Alcotest.test_case "gather ignores stale halos" `Quick
            test_gather_staleness;
          Alcotest.test_case "distributed GS == serial" `Quick
@@ -842,6 +890,8 @@ let () =
            test_mirror_planes_asymmetric;
          Alcotest.test_case "footprint staling ablation (bitwise)" `Quick
            test_pipeline_footprint_staling;
+         Alcotest.test_case "host fallbacks counted once" `Quick
+           test_pipeline_dist_fallbacks;
          Alcotest.test_case "degenerate decomposition diagnosed" `Quick
            test_pipeline_dist_degenerate ]);
       ("dialect",
