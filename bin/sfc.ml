@@ -384,13 +384,16 @@ let compile_cmd =
 (* ---- run ---- *)
 
 (* Distributed-runtime lines under [run --stats]: measured traffic per
-   buffer group, run/stage mix, vector utilisation, and the Figure-6
-   model's projected throughput for the same rank count. *)
+   buffer group, run/stage mix, the per-rank engine by stage (shared
+   native plugins vs per-rank runners) with native/vector utilisation,
+   and the Figure-6 model's projected throughput for the same rank
+   count. *)
 let print_dist_stats dst =
   let module Dk = Fsc_dmp.Dist_kernel in
+  (* let async stage plugins land so the mix reports their outcome *)
+  Dk.drain dst;
   let s = Dk.stats dst in
-  Printf.eprintf "dist: %d ranks, %s engine\n" s.Dk.ds_ranks
-    (Dk.engine_name s.Dk.ds_engine);
+  Printf.eprintf "dist: %d ranks, %s engine\n" s.Dk.ds_ranks s.Dk.ds_engine;
   if s.Dk.ds_stales_avoided > 0 then
     Printf.eprintf
       "dist: %d halo stale(s) avoided by footprint analysis (interior \
@@ -401,9 +404,23 @@ let print_dist_stats dst =
      stages\n"
     s.Dk.ds_dist_runs s.Dk.ds_fallback_runs s.Dk.ds_exchanged_stages
     s.Dk.ds_fused_stages;
-  if s.Dk.ds_total_nests > 0 then
+  if s.Dk.ds_total_nests > 0 then begin
+    let shared =
+      List.filter_map (fun st -> st.Dk.ss_body) s.Dk.ds_stages
+    in
+    Printf.eprintf
+      "dist: per-rank engine by stage: %d native on %d plugin(s) shared by \
+       all %d ranks, %d vector\n"
+      (List.length shared)
+      (List.length (List.sort_uniq compare shared))
+      s.Dk.ds_ranks
+      (List.length s.Dk.ds_stages - List.length shared);
+    if shared <> [] then
+      Printf.eprintf "dist: native engine on %d/%d per-rank nests\n"
+        s.Dk.ds_native_nests s.Dk.ds_total_nests;
     Printf.eprintf "dist: vector engine on %d/%d per-rank nests\n"
-      s.Dk.ds_vec_nests s.Dk.ds_total_nests;
+      s.Dk.ds_vec_nests s.Dk.ds_total_nests
+  end;
   List.iter
     (fun g ->
       let dims =

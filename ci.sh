@@ -125,9 +125,11 @@ rm -rf "$BENCHDIR"
 NCACHE=$(mktemp -d)
 cold_out=$("$SFC" run examples/laplace.f90 --exec-engine native \
   --cache-dir "$NCACHE" --stats 2>&1 >/dev/null)
+native_ok=0
 if printf '%s\n' "$cold_out" | grep -q 'native unavailable'; then
   echo "native smoke: SKIPPED (no ocamlopt toolchain in this environment)"
 else
+  native_ok=1
   vec_grids=$("$SFC" run examples/laplace.f90 --exec-engine vector \
     --stats 2>&1 >/dev/null | grep '^grid')
   if ! printf '%s\n' "$cold_out" | grep -q 'cold build'; then
@@ -228,6 +230,48 @@ for want in '8 msgs, 7 kB' '2 fused stages' '3 halo stale(s) avoided' \
   fi
 done
 echo "dist fusion smoke: residual at 4 ranks moves 8 msgs / 7 kB, 2 fused stages, 3 stales avoided, 8/9 vector nests, bitwise vs serial"
+
+# Dist on the native engine: a rank-uniform stage runs one plugin shared
+# by all ranks, every other stage per-rank vector plans. Both examples
+# at 4 ranks must reproduce the serial checksums. Laplace's sweep/copy
+# stage is rank-uniform (one plugin), residual's stages are not (its
+# edge probe runs on one rank only). The run's shutdown publishes the
+# plugin, so a warm rerun over the same cache directory compiles
+# nothing. Skipped without a toolchain (notice printed above).
+if [ "$native_ok" = 1 ]; then
+  DCACHE=$(mktemp -d)
+  for ex in laplace residual; do
+    ser=$("$SFC" run "examples/$ex.f90" --stats 2>&1 >/dev/null | grep '^grid')
+    nat=$("$SFC" run "examples/$ex.f90" --target dist --ranks 4 \
+      --exec-engine native --cache-dir "$DCACHE" --stats 2>&1 >/dev/null)
+    if [ "$ser" != "$(printf '%s\n' "$nat" | grep '^grid')" ]; then
+      echo "ci: $ex dist native checksums differ from serial"
+      printf 'serial:\n%s\ndist native:\n%s\n' "$ser" "$nat"
+      exit 1
+    fi
+    if ! printf '%s\n' "$nat" | grep -q '^dist: per-rank engine by stage'; then
+      echo "ci: $ex dist native --stats missing the per-stage engine line"
+      printf '%s\n' "$nat"
+      exit 1
+    fi
+  done
+  marker="$DCACHE/.ci-marker"
+  touch "$marker"
+  lap=$("$SFC" run examples/laplace.f90 --target dist --ranks 4 \
+    --exec-engine native --cache-dir "$DCACHE" --stats 2>&1 >/dev/null)
+  if ! printf '%s\n' "$lap" | grep -qF '1 native on 1 plugin(s) shared by all 4 ranks'; then
+    echo "ci: laplace dist native did not share one stage plugin"
+    printf '%s\n' "$lap"
+    exit 1
+  fi
+  recompiled=$(find "$DCACHE" -name '*.cmxs' -newer "$marker" | wc -l)
+  if [ "$recompiled" -ne 0 ]; then
+    echo "ci: warm dist native run recompiled $recompiled plugin(s)"
+    exit 1
+  fi
+  rm -rf "$DCACHE"
+  echo "dist native smoke: laplace + residual at 4 ranks bitwise vs serial, one shared laplace stage plugin, 0 warm recompiles"
+fi
 
 # Concurrent-compile smoke: compiles on several worker domains share one
 # process-wide IR id counter. Many distinct copies of one PW program,

@@ -642,6 +642,18 @@ let run_ready k r ~bb_groups ~bb_bounds_skipped ?pool ~bufs ~scalars () =
         | true, Some p -> Printf.sprintf "in-plugin pool(%d)" (Pool.size p)
         | _ -> "serial"))
 
+let bind k ~bufs =
+  match k.k_ctx.c_toolchain with
+  | Error _ -> ()
+  | Ok _ ->
+    locked k.k_mutex (fun () ->
+        if Option.is_none k.k_bind then ignore (bind_kernel k ~bufs))
+
+let key k =
+  match k.k_bind with
+  | Some { bd_result = Bind_built { bb_build; _ }; _ } -> Some bb_build.b_key
+  | _ -> None
+
 let run k ?pool ~bufs ~scalars () =
   match k.k_ctx.c_toolchain with
   | Error _ -> run_vector k ?pool ~bufs ~scalars ()
@@ -715,6 +727,7 @@ type report = {
   rp_build_ms : float option; (* Some only on a cold build *)
   rp_origin : origin option;
   rp_native_nests : int;
+  rp_vector_nests : int;
   rp_total_nests : int;
   rp_fused_nests : int;
   rp_tile_rows : int option;
@@ -733,9 +746,18 @@ let origin_text = function
 
 let report k =
   let total = k.k_nnests in
+  (* nests outside [native] that the vector plan runs vectorised *)
+  let vectorised ~native =
+    let scalar = Kb.fallbacks k.k_plan in
+    List.length
+      (List.filter
+         (fun i -> not (List.mem i native || List.mem_assoc i scalar))
+         (List.init total Fun.id))
+  in
   let vector detail =
     { rp_engine = "vector"; rp_detail = detail; rp_build_ms = None;
-      rp_origin = None; rp_native_nests = 0; rp_total_nests = total;
+      rp_origin = None; rp_native_nests = 0;
+      rp_vector_nests = vectorised ~native:[]; rp_total_nests = total;
       rp_fused_nests = 0; rp_tile_rows = None; rp_reuse_windows = 0;
       rp_copy_blits = 0; rp_par_mode = None; rp_fp_proved = 0;
       rp_pending_runs = k.k_pending_runs; rp_guard_misses = k.k_guard_misses }
@@ -756,15 +778,13 @@ let report k =
         let skipped = List.length b.bb_emit_skipped
                       + List.length b.bb_bounds_skipped
         in
-        let native =
-          List.length
-            (List.filter
-               (fun (i, _) -> not (List.mem_assoc i b.bb_bounds_skipped))
-               (List.concat_map
-                  (fun (g : Emit.group) ->
-                    List.map (fun i -> (i, g.Emit.g_fname)) g.Emit.g_nests)
-                  b.bb_groups))
+        let native_idx =
+          List.filter
+            (fun i -> not (List.mem_assoc i b.bb_bounds_skipped))
+            (List.concat_map (fun (g : Emit.group) -> g.Emit.g_nests)
+               b.bb_groups)
         in
+        let native = List.length native_idx in
         let cost =
           match r.r_origin with
           | Origin_built ->
@@ -847,6 +867,7 @@ let report k =
             | Origin_built -> Some r.r_build_ms
             | _ -> None);
           rp_origin = Some r.r_origin; rp_native_nests = native;
+          rp_vector_nests = vectorised ~native:native_idx;
           rp_total_nests = total; rp_fused_nests = fused;
           rp_tile_rows =
             (match b.bb_tiled with (_, t) :: _ -> Some t | [] -> None);

@@ -70,6 +70,18 @@ val name : kernel -> string
 (** The vector-engine plan used whenever the native path is not. *)
 val plan : kernel -> Kb.plan
 
+(** Bind the kernel to these buffers' shapes now, on the calling thread
+    — emitting its source and starting its build ({!Sync}: building
+    inline) — instead of at the first {!run}. Callers that run the
+    kernel from pool workers (the distributed ranks) bind first so no
+    worker ever compiles. A no-op once bound or without a toolchain. *)
+val bind : kernel -> bufs:Fsc_rt.Memref_rt.t array -> unit
+
+(** The plugin's cache key (a digest of the emitted body) once bound
+    with a body to build; [None] before binding or on a bind-time
+    fallback. Kernels with equal keys share one plugin. *)
+val key : kernel -> string option
+
 (** Execute the kernel: emitted groups where ready and proven in
     bounds, the vector engine everywhere else. Parallel outer levels
     are work-shared {e inside} the plugin when [pool] has more than one
@@ -103,6 +115,8 @@ type report = {
   rp_build_ms : float option;  (** compile wall time, cold builds only *)
   rp_origin : origin option;
   rp_native_nests : int;
+  rp_vector_nests : int;
+      (** nests outside the plugin that the vector plan vectorises *)
   rp_total_nests : int;
   rp_fused_nests : int;  (** nests running inside multi-nest groups *)
   rp_tile_rows : int option;  (** tile shape, when blocked loops emitted *)

@@ -3,9 +3,13 @@
    This is the runtime half of the paper's DMP lowering: a kernel spec
    produced by [Fsc_rt.Kernel_compile] from the serial stencil pipeline
    is re-targeted at SPMD execution over a [Decomp] — each rank runs the
-   same nests over its ownership-clipped local bounds through the
-   closure or vector engine, with [Dist_exec] supersteps providing the
-   halo swaps.
+   same nests over its ownership-clipped local bounds, with [Dist_exec]
+   supersteps providing the halo swaps. Which engine a rank's nests run
+   on is the linker's choice: a [factory] compiles each stage's
+   per-rank code, told whether the stage is rank-uniform (every rank's
+   localized nests and local extents identical, so one body serves all
+   of them — the native engine builds one shared plugin for exactly
+   those stages).
 
    Coherence follows the GPU device-resident contract: buffer groups
    live scattered across ranks while distributed kernels run, and are
@@ -43,15 +47,32 @@ let c_gathers = Obs.counter "dmp.gathers"
 let c_fused = Obs.counter "dmp.fused"
 let c_stales_avoided = Obs.counter "dmp.stales_avoided"
 
-type engine =
-  | E_closure
-  | E_vector
-
-let engine_name = function
-  | E_closure -> "closure"
-  | E_vector -> "vector"
-
 type runner = bufs:Rt.t array -> scalars:float array -> unit
+
+type nest_mix = {
+  nm_native : int;
+  nm_vector : int;
+  nm_total : int;
+}
+
+let no_nests = { nm_native = 0; nm_vector = 0; nm_total = 0 }
+
+type stage_code = {
+  sc_runners : runner array;
+  sc_body : string option;
+  sc_mix : unit -> nest_mix;
+  sc_drain : unit -> unit;
+}
+
+type factory = {
+  f_engine : string;
+  f_stage :
+    name:string ->
+    uniform:bool ->
+    bufs:Rt.t array array ->
+    Kc.spec array ->
+    stage_code;
+}
 
 (* One coherence group: all buffers sharing a global shape, scattered
    over one [Dist_exec] state. [g_valid] means the rank-local copies are
@@ -81,13 +102,21 @@ type stage_plan = {
 type kplan = {
   kp_spec : Kc.spec;
   kp_stages : stage_plan list;
-  (* (stage, rank) -> runner over the stage's ownership-localized nests *)
-  kp_runners : (int * int, runner) Hashtbl.t;
+  (* stage index -> the stage's per-rank code *)
+  kp_code : (int, stage_code) Hashtbl.t;
+}
+
+(* A compiled stage, kept for statistics and draining. *)
+type stage_entry = {
+  se_kernel : string;
+  se_stage : int;
+  se_uniform : bool;
+  se_code : stage_code;
 }
 
 type state = {
   dk_ranks : int;
-  dk_engine : engine;
+  dk_factory : factory;
   dk_pool : Pool.t option;
   mutable dk_groups : group list;
   mutable dk_ids : (Rt.t * int) list; (* physical buffer -> id *)
@@ -99,16 +128,15 @@ type state = {
   mutable dk_exchanged_stages : int;
   mutable dk_fused_stages : int;
   mutable dk_stales_avoided : int;
-  mutable dk_vec_nests : int;
-  mutable dk_total_nests : int;
+  mutable dk_stages : stage_entry list; (* newest first *)
 }
 
-let create ?pool ~ranks ~engine () =
-  { dk_ranks = ranks; dk_engine = engine; dk_pool = pool;
+let create ?pool ~ranks ~factory () =
+  { dk_ranks = ranks; dk_factory = factory; dk_pool = pool;
     dk_groups = []; dk_ids = [];
     dk_next_id = 0; dk_plans = Hashtbl.create 8; dk_dist_runs = 0;
     dk_fallback_runs = 0; dk_exchanged_stages = 0; dk_fused_stages = 0;
-    dk_stales_avoided = 0; dk_vec_nests = 0; dk_total_nests = 0 }
+    dk_stales_avoided = 0; dk_stages = [] }
 
 let buf_id st b =
   let rec find = function
@@ -167,7 +195,9 @@ let writes nest = List.map (fun s -> s.Kc.st_buf) nest.Kc.n_stores
 (* Every decomposed-dim index must be the iteration variable of the loop
    walking that dimension: offset 0 for stores, |offset| <= 1 (the halo
    width) for loads. Constant planes and transposed index use would need
-   per-rank index rewriting beyond halo exchange. *)
+   per-rank index rewriting beyond halo exchange. A load offset in two
+   decomposed dimensions at once reads a corner halo cell, which the
+   face-only exchange never refreshes. *)
 let check_nest ~ddims nest =
   let dim_of_level =
     List.map (fun l -> (l.Kc.l_level, l.Kc.l_dim)) nest.Kc.n_loops
@@ -198,6 +228,20 @@ let check_nest ~ddims nest =
                 what d))
       idx
   in
+  let corner b idx =
+    let shifted =
+      List.filteri
+        (fun d form ->
+          List.mem d ddims
+          && match form with Kc.Iv (_, off) -> off <> 0 | Kc.Cst _ -> false)
+        idx
+    in
+    if List.length shifted > 1 then
+      ndis
+        "load of buffer %d is offset in two decomposed dimensions (a \
+         corner halo cell the face exchange does not carry)"
+        b
+  in
   List.iter
     (fun s ->
       check ~store:true
@@ -205,7 +249,8 @@ let check_nest ~ddims nest =
         s.Kc.st_index;
       walk_loads
         (fun b idx ->
-          check ~store:false (Printf.sprintf "load of buffer %d" b) idx)
+          check ~store:false (Printf.sprintf "load of buffer %d" b) idx;
+          corner b idx)
         s.Kc.st_expr)
     nest.Kc.n_stores
 
@@ -307,7 +352,7 @@ let plan st spec ~field_rank ~name =
       | stages ->
         Ok
           { kp_spec = spec; kp_stages = stages;
-            kp_runners = Hashtbl.create 16 }
+            kp_code = Hashtbl.create 8 }
       | exception Not_distributable reason -> Error reason
     in
     Hashtbl.add st.dk_plans name r;
@@ -372,37 +417,91 @@ let localize_nest ~decomp ~ddims ~rank nest =
   with Empty_nest -> None
 
 (* ------------------------------------------------------------------ *)
-(* Runner compilation (memoized; built on the caller thread only)      *)
+(* Stage code (memoized; compiled on the caller thread only)           *)
 (* ------------------------------------------------------------------ *)
 
 let noop_runner ~bufs:_ ~scalars:_ = ()
 
+let per_rank ~mix runners =
+  { sc_runners = runners; sc_body = None; sc_mix = (fun () -> mix);
+    sc_drain = ignore }
+
 (* Per-rank execution passes no pool: each rank already runs inside one
    pool worker, and the vector engine's row loops are the parallelism
    within the rank's own cache. *)
-let compile_runner st spec nests =
-  match nests with
-  | [] -> noop_runner
-  | _ -> (
-    let sub = { spec with Kc.k_nests = nests } in
-    match st.dk_engine with
-    | E_closure -> fun ~bufs ~scalars -> Kc.run sub ~bufs ~scalars ()
-    | E_vector ->
-      let vplan = Kb.compile_spec sub in
-      st.dk_total_nests <- st.dk_total_nests + Kb.nest_count vplan;
-      st.dk_vec_nests <- st.dk_vec_nests + Kb.vectorised_nests vplan;
-      fun ~bufs ~scalars -> Kb.run vplan ~bufs ~scalars ())
+let vector =
+  { f_engine = "vector";
+    f_stage =
+      (fun ~name:_ ~uniform:_ ~bufs:_ specs ->
+        let plans =
+          Array.map
+            (fun sp -> if sp.Kc.k_nests = [] then None else Some (Kb.compile_spec sp))
+            specs
+        in
+        let mix =
+          Array.fold_left
+            (fun m -> function
+              | None -> m
+              | Some p ->
+                { m with
+                  nm_vector = m.nm_vector + Kb.vectorised_nests p;
+                  nm_total = m.nm_total + Kb.nest_count p })
+            no_nests plans
+        in
+        per_rank ~mix
+          (Array.map
+             (function
+               | None -> noop_runner
+               | Some p -> fun ~bufs ~scalars -> Kb.run p ~bufs ~scalars ())
+             plans)) }
 
-let stage_runner st kplan ~decomp ~ddims ~stage_idx stage ~rank =
-  match Hashtbl.find_opt kplan.kp_runners (stage_idx, rank) with
-  | Some r -> r
+let closure =
+  { f_engine = "closure";
+    f_stage =
+      (fun ~name:_ ~uniform:_ ~bufs:_ specs ->
+        per_rank ~mix:no_nests
+          (Array.map
+             (fun sp ->
+               if sp.Kc.k_nests = [] then noop_runner
+               else fun ~bufs ~scalars -> Kc.run sp ~bufs ~scalars ())
+             specs)) }
+
+(* Compile a stage's code for every rank at once. The stage is
+   rank-uniform when every rank's localized nests and local buffer
+   extents coincide: then one emitted body (one cache key) serves all
+   ranks. Edge ranks of nests covering the global boundary planes,
+   rebased [F_ivf] terms and uneven splits all break uniformity. *)
+let compile_stage st kplan ~name ~decomp ~ddims ~local_bufs ~stage_idx stage =
+  match Hashtbl.find_opt kplan.kp_code stage_idx with
+  | Some c -> c
   | None ->
-    let r =
-      compile_runner st kplan.kp_spec
-        (List.filter_map (localize_nest ~decomp ~ddims ~rank) stage.sg_nests)
+    let specs =
+      Array.init (Decomp.nranks decomp) (fun rank ->
+          { kplan.kp_spec with
+            Kc.k_nests =
+              List.filter_map (localize_nest ~decomp ~ddims ~rank)
+                stage.sg_nests })
     in
-    Hashtbl.add kplan.kp_runners (stage_idx, rank) r;
-    r
+    let extents bufs = Array.map (fun b -> b.Rt.dims) bufs in
+    let uniform =
+      Array.for_all
+        (fun sp -> compare sp.Kc.k_nests specs.(0).Kc.k_nests = 0)
+        specs
+      && Array.for_all
+           (fun bufs -> extents bufs = extents local_bufs.(0))
+           local_bufs
+    in
+    let c =
+      st.dk_factory.f_stage
+        ~name:(Printf.sprintf "%s.stage%d" name stage_idx)
+        ~uniform ~bufs:local_bufs specs
+    in
+    Hashtbl.add kplan.kp_code stage_idx c;
+    st.dk_stages <-
+      { se_kernel = name; se_stage = stage_idx; se_uniform = uniform;
+        se_code = c }
+      :: st.dk_stages;
+    c
 
 (* ------------------------------------------------------------------ *)
 (* Coherence groups                                                    *)
@@ -486,7 +585,9 @@ let run_fallback st ~reason:_ f =
   sync_back st;
   f ()
 
-let run_dist st g kplan ~bufs ~scalars =
+let drain st = List.iter (fun se -> se.se_code.sc_drain ()) st.dk_stages
+
+let run_dist st g kplan ~name ~bufs ~scalars =
   st.dk_dist_runs <- st.dk_dist_runs + 1;
   let dx = g.g_dx in
   let decomp = dx.Dist_exec.decomp in
@@ -553,12 +654,14 @@ let run_dist st g kplan ~bufs ~scalars =
            let written = arg_names staling in
            g.g_fresh <- SS.union (SS.of_list swap_fields) g.g_fresh;
            g.g_fresh <- SS.diff g.g_fresh (SS.of_list written);
-           (* compile every rank's runner up front, on the caller: the
-              memo table is not thread-safe and the compute callbacks
-              run concurrently on pool workers *)
+           (* compile every rank's code up front, on the caller: the
+              memo table is not thread-safe, a native plugin binds (and
+              in Sync mode builds) here, and the compute callbacks run
+              concurrently on pool workers *)
            let runners =
-             Array.init nranks (fun rank ->
-                 stage_runner st kplan ~decomp ~ddims ~stage_idx stage ~rank)
+             (compile_stage st kplan ~name ~decomp ~ddims ~local_bufs ~stage_idx
+                stage)
+               .sc_runners
            in
            Dist_exec.superstep_phases dx ~swap_fields:stale
              ~compute:(fun ~rank ->
@@ -587,7 +690,7 @@ let run_kernel st ~name spec ~host ~bufs ~scalars =
       | Error reason -> run_fallback st ~reason host
       | Ok kplan ->
         ensure_scattered st g bufs;
-        run_dist st g kplan ~bufs ~scalars
+        run_dist st g kplan ~name ~bufs ~scalars
     end
 
 (* ------------------------------------------------------------------ *)
@@ -602,22 +705,41 @@ type group_stats = {
   gs_bytes : int;
 }
 
+type stage_stats = {
+  ss_kernel : string;
+  ss_stage : int;
+  ss_uniform : bool;
+  ss_body : string option;
+  ss_mix : nest_mix;
+}
+
 type stats = {
   ds_ranks : int;
-  ds_engine : engine;
+  ds_engine : string;
   ds_groups : group_stats list;
   ds_dist_runs : int; (* distributed kernel executions, cumulative *)
   ds_fallback_runs : int;
   ds_exchanged_stages : int; (* supersteps that exchanged halos *)
   ds_fused_stages : int; (* supersteps whose exchange was fused away *)
   ds_stales_avoided : int; (* writes footprint-proven off mirrored planes *)
-  ds_vec_nests : int; (* vectorised / total nests over compiled runners *)
+  ds_stages : stage_stats list; (* compiled stages, in compile order *)
+  ds_native_nests : int; (* per-rank nests by tier, over all stages *)
+  ds_vec_nests : int;
   ds_total_nests : int;
 }
 
 let stats st =
+  let stages =
+    List.rev_map
+      (fun se ->
+        { ss_kernel = se.se_kernel; ss_stage = se.se_stage;
+          ss_uniform = se.se_uniform; ss_body = se.se_code.sc_body;
+          ss_mix = se.se_code.sc_mix () })
+      st.dk_stages
+  in
+  let sum f = List.fold_left (fun n s -> n + f s.ss_mix) 0 stages in
   { ds_ranks = st.dk_ranks;
-    ds_engine = st.dk_engine;
+    ds_engine = st.dk_factory.f_engine;
     ds_groups =
       List.rev_map
         (fun g ->
@@ -629,5 +751,7 @@ let stats st =
     ds_dist_runs = st.dk_dist_runs; ds_fallback_runs = st.dk_fallback_runs;
     ds_exchanged_stages = st.dk_exchanged_stages;
     ds_fused_stages = st.dk_fused_stages;
-    ds_stales_avoided = st.dk_stales_avoided; ds_vec_nests = st.dk_vec_nests;
-    ds_total_nests = st.dk_total_nests }
+    ds_stales_avoided = st.dk_stales_avoided; ds_stages = stages;
+    ds_native_nests = sum (fun m -> m.nm_native);
+    ds_vec_nests = sum (fun m -> m.nm_vector);
+    ds_total_nests = sum (fun m -> m.nm_total) }

@@ -213,9 +213,10 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
     | Ok spec ->
       (* GPU targets execute on the simulator's device twins through the
          closure engine regardless of [engine]; the vector and native
-         tiers are CPU execution strategies (under [Dist], both use the
-         per-rank vector plans in [Dist_kernel], native being a
-         per-process-JIT story that does not fit rank-sliced spaces). *)
+         tiers are CPU execution strategies. Under [Dist] the ranks run
+         the stage code [Dist_kernel] compiles through the link-time
+         factory ([dist_factory]); this kernel-level path only serves
+         host fallbacks, on the vector plan. *)
       let native_kernel =
         match (engine, target, native) with
         | Engine_native, (Serial | Openmp _), Some nctx ->
@@ -293,6 +294,42 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
       | Some nk, _ -> (name, Native_jit (spec, nk))
       | None, Some plan -> (name, Vectorised (spec, plan))
       | None, None -> (name, Compiled spec)))
+
+(* The per-stage runner factory for [Dist] targets. Under the native
+   engine a rank-uniform stage gets one plugin shared by every rank:
+   bound here on the caller with rank 0's buffers (so a [Sync] build
+   happens before any rank runs, never on a pool worker), served from
+   its vector plan until resident in [Async] mode. Every other stage
+   keeps per-rank vector runners — building one plugin per rank variant
+   would multiply cold builds for stages whose ranks differ. *)
+let dist_factory ~engine ~native =
+  let module Dk = Fsc_dmp.Dist_kernel in
+  let module N = Fsc_codegen.Native in
+  match (engine, native) with
+  | Engine_closure, _ -> Dk.closure
+  | Engine_native, Some nctx ->
+    { Dk.f_engine = "native";
+      f_stage =
+        (fun ~name ~uniform ~bufs specs ->
+          if (not uniform) || specs.(0).Kc.k_nests = [] then
+            Dk.vector.Dk.f_stage ~name ~uniform ~bufs specs
+          else begin
+            let nk = N.prepare nctx ~name specs.(0) in
+            N.bind nk ~bufs:bufs.(0);
+            let ranks = Array.length specs in
+            let mix () =
+              let r = N.report nk in
+              { Dk.nm_native = ranks * r.N.rp_native_nests;
+                nm_vector = ranks * r.N.rp_vector_nests;
+                nm_total = ranks * r.N.rp_total_nests }
+            in
+            { Dk.sc_runners =
+                Array.make ranks (fun ~bufs ~scalars ->
+                    N.run nk ~bufs ~scalars ());
+              sc_body = N.key nk; sc_mix = mix;
+              sc_drain = (fun () -> N.drain nk) }
+          end) }
+  | _ -> Dk.vector
 
 (* GPU data-management externals for the optimised strategy; [managed]
    is the list of kernel symbols whose placement was hoisted. *)
@@ -467,7 +504,7 @@ let link ?(engine = Engine_vector) ?native ca =
   (* resolve the native ctx only when the engine/target pair uses it *)
   let native =
     match (engine, target) with
-    | Engine_native, (Serial | Openmp _) ->
+    | Engine_native, (Serial | Openmp _ | Dist _) ->
       Some
         (match native with
         | Some nctx -> nctx
@@ -491,12 +528,9 @@ let link ?(engine = Engine_vector) ?native ca =
   let dist =
     match (target, engine) with
     | Dist ranks, (Engine_closure | Engine_vector | Engine_native) ->
-      let dengine =
-        match engine with
-        | Engine_vector | Engine_native -> Fsc_dmp.Dist_kernel.E_vector
-        | _ -> Fsc_dmp.Dist_kernel.E_closure
-      in
-      Some (Fsc_dmp.Dist_kernel.create ?pool ~ranks ~engine:dengine ())
+      Some
+        (Fsc_dmp.Dist_kernel.create ?pool ~ranks
+           ~factory:(dist_factory ~engine ~native) ())
     | _ -> None
   in
   (match target with
@@ -545,14 +579,16 @@ let run artifact =
   | _ -> ())
 
 let shutdown artifact =
-  (* drain in-flight native builds first: even a short run must leave
-     its compiled plugins published in the cache for the next process *)
+  (* drain in-flight native builds first — kernel plugins and the dist
+     stage plugins alike: even a short run must leave its compiled
+     plugins published in the cache for the next process *)
   List.iter
     (fun (_, impl) ->
       match impl with
       | Native_jit (_, nk) -> Fsc_codegen.Native.drain nk
       | _ -> ())
     artifact.a_kernels;
+  Option.iter Fsc_dmp.Dist_kernel.drain artifact.a_dist;
   match artifact.a_ctx.Interp.pool with
   | Some p ->
     Fsc_rt.Domain_pool.shutdown p;

@@ -47,9 +47,11 @@ type exec_engine =
           compiled with [ocamlfind ocamlopt -shared] and Dynlink'ed;
           serves from the vector engine until the plugin is ready and
           falls back to it per nest (emit/bounds) or per kernel
-          (toolchain/build/load failures). CPU targets only: [Dist]
-          executes its rank-sliced spaces on the vector engine, GPU
-          targets on the device twins as always. *)
+          (toolchain/build/load failures). CPU targets only: under
+          [Dist], each rank-uniform stage (every rank's localized nests
+          and local extents identical) runs one plugin shared by all
+          ranks and every other stage per-rank vector plans; GPU
+          targets run on the device twins as always. *)
 
 val engine_name : exec_engine -> string
 
@@ -85,8 +87,8 @@ type artifact = {
   a_kernels : (string * kernel_impl) list;
   a_target : target;
   a_dist : Fsc_dmp.Dist_kernel.state option;
-      (** distributed runtime ([Dist] targets under the closure/vector
-          engines) *)
+      (** distributed runtime ([Dist] targets under the closure, vector
+          and native engines) *)
 }
 
 type stencil_stats = {
@@ -159,9 +161,14 @@ val compile : options -> string -> compiled_artifact
     schedules the halo supersteps itself: exchanged before each stage
     computes, fused away when the halos are already fresh, coalesced into
     one message per neighbour, and staled only by writes whose affine
-    footprint reaches a block-boundary plane. Under {!Engine_interp}
-    the program runs entirely on the host interpreter (no
-    distribution).
+    footprint reaches a block-boundary plane. Each stage's per-rank
+    code comes from the engine: closure or vector runners per rank, or
+    under {!Engine_native} one plugin shared by every rank for a
+    rank-uniform stage (bound and, with a [Sync] ctx, built on the
+    calling thread before any rank runs; with an [Async] ctx the ranks
+    run its vector plan until the plugin is resident). Under
+    {!Engine_interp} the program runs entirely on the host interpreter
+    (no distribution).
 
     [native] supplies the {!Engine_native} context (cache directory,
     build mode, toolchain); without it a process-wide default ctx
@@ -197,9 +204,10 @@ val stencil :
     grid cannot host the requested rank count. *)
 val run : artifact -> unit
 
-(** Release the artifact's worker pool (OpenMP targets) after draining
-    any in-flight native builds, so short runs still publish their
-    compiled plugins to the artifact cache. *)
+(** Release the artifact's worker pool (OpenMP and Dist targets) after
+    draining any in-flight native builds — kernel plugins and Dist stage
+    plugins — so short runs still publish their compiled plugins to the
+    artifact cache. *)
 val shutdown : artifact -> unit
 
 (** Look up a named Fortran array allocated during execution. *)

@@ -487,6 +487,184 @@ let test_tile_budget_eviction () =
   Alcotest.(check (float 0.)) "rebuilt kernel bitwise" 0.0
     (Rt.max_abs_diff ref_bufs.(1) nat_bufs.(1))
 
+(* ---- distributed ranks on the native engine ----
+
+   A rank-uniform stage (every rank's localized nests and local extents
+   identical) runs one native plugin shared by all ranks; any other
+   stage keeps per-rank vector runners. Every grid must match the
+   serial vector run bit for bit. *)
+
+module Dk = Fsc_dmp.Dist_kernel
+module Obs = Fsc_obs.Obs
+
+let c_builds = Obs.counter "codegen.builds"
+let c_pending = Obs.counter "codegen.pending_runs"
+
+let with_counters f =
+  Obs.set_counters_only true;
+  Fun.protect ~finally:(fun () -> Obs.set_counters_only false) f
+
+(* every named grid, copied out of the artifact *)
+let grids (a : P.artifact) =
+  List.sort compare
+    (List.map
+       (fun (name, (b : Rt.t)) ->
+         ( name,
+           Array.init (Bigarray.Array1.dim b.Rt.data) (fun i ->
+               Bigarray.Array1.get b.Rt.data i) ))
+       a.P.a_ctx.Fsc_rt.Interp.named_buffers)
+
+let check_grids ~msg expected got =
+  Alcotest.(check (list string)) (msg ^ ": grid names") (List.map fst expected)
+    (List.map fst got);
+  List.iter2
+    (fun (name, e) (_, g) ->
+      Array.iteri
+        (fun i v ->
+          if Int64.bits_of_float v <> Int64.bits_of_float g.(i) then
+            Alcotest.failf "%s: %s cell %d differs: %h vs %h" msg name i v
+              g.(i))
+        e)
+    expected got
+
+let run_grids ?native ~engine ~target src =
+  let a, _ = P.stencil ~target ~engine ?native src in
+  P.run a;
+  let g = grids a in
+  let stats = Option.map Dk.stats a.P.a_dist in
+  P.shutdown a;
+  (g, stats)
+
+let bodies (s : Dk.stats) =
+  List.sort_uniq compare (List.filter_map (fun st -> st.Dk.ss_body) s.Dk.ds_stages)
+
+(* Gauss-Seidel, Laplace, PW and residual at 1/2/3/4/8 ranks. The
+   extents split evenly at some rank counts and unevenly at others (10
+   planes over 3 ranks: 4+3+3; Laplace's 20 rows over 8 ranks), so both
+   kinds of stage are exercised. Plugins requested per artifact equal
+   the distinct stage bodies — at most one per rank-uniform stage,
+   never one per rank. *)
+let test_dist_native_bitwise () =
+  with_toolchain @@ fun () ->
+  with_counters @@ fun () ->
+  let programs =
+    [ ("gs", B.gauss_seidel ~nx:10 ~ny:10 ~nz:10 ~niter:3 ());
+      ("laplace", B.laplace ~n:20 ~niter:3 ());
+      ("pw", B.pw_advection ~nx:10 ~ny:10 ~nz:10 ~niter:2 ());
+      ("residual", B.residual ~nx:10 ~ny:10 ~nz:10 ~niter:2 ()) ]
+  in
+  let uniform_seen = ref 0 and ragged_seen = ref 0 in
+  List.iter
+    (fun (pname, src) ->
+      let serial, _ = run_grids ~engine:P.Engine_vector ~target:P.Serial src in
+      List.iter
+        (fun ranks ->
+          let label = Printf.sprintf "%s ranks=%d" pname ranks in
+          let b0 = Obs.counter_value c_builds in
+          let got, stats =
+            run_grids ~native:(sync_ctx ()) ~engine:P.Engine_native
+              ~target:(P.Dist ranks) src
+          in
+          let builds = Obs.counter_value c_builds - b0 in
+          check_grids ~msg:label serial got;
+          let s =
+            match stats with Some s -> s | None -> Alcotest.fail "no dist state"
+          in
+          Alcotest.(check string) (label ^ ": engine") "native" s.Dk.ds_engine;
+          List.iter
+            (fun st ->
+              let what =
+                Printf.sprintf "%s: %s stage %d" label st.Dk.ss_kernel
+                  st.Dk.ss_stage
+              in
+              let m = st.Dk.ss_mix in
+              if st.Dk.ss_uniform then begin
+                if ranks > 1 then incr uniform_seen;
+                Alcotest.(check bool) (what ^ " shares one body") true
+                  (st.Dk.ss_body <> None);
+                Alcotest.(check int) (what ^ " runs every nest native")
+                  m.Dk.nm_total m.Dk.nm_native;
+                Alcotest.(check bool) (what ^ " has nests") true
+                  (m.Dk.nm_native > 0)
+              end
+              else begin
+                incr ragged_seen;
+                Alcotest.(check bool) (what ^ " has no shared body") true
+                  (st.Dk.ss_body = None);
+                Alcotest.(check int) (what ^ " stays on vector") 0
+                  m.Dk.nm_native
+              end)
+            s.Dk.ds_stages;
+          let uniform =
+            List.length (List.filter (fun st -> st.Dk.ss_uniform) s.Dk.ds_stages)
+          in
+          Alcotest.(check int) (label ^ ": one plugin per distinct body")
+            (List.length (bodies s)) builds;
+          Alcotest.(check bool) (label ^ ": at most one per uniform stage") true
+            (builds <= uniform))
+        [ 1; 2; 3; 4; 8 ])
+    programs;
+  Alcotest.(check bool) "some multi-rank stages ran native" true
+    (!uniform_seen > 0);
+  Alcotest.(check bool) "some stages stayed per-rank" true (!ragged_seen > 0)
+
+(* Async builds: the ranks run on vector while the shared plugin builds
+   (pending runs counted), shutdown drains the build so the plugin is
+   published to the cache, and a second ctx over the same directory
+   serves the stage without compiling anything. (In one process the
+   second ctx finds the plugin already resident; ci.sh checks the
+   cross-process cache hit through the CLI.) *)
+let test_dist_native_async () =
+  with_toolchain @@ fun () ->
+  with_counters @@ fun () ->
+  (* sizes unique to this test, so no earlier plugin is resident *)
+  let src = B.gauss_seidel ~nx:9 ~ny:10 ~nz:6 ~niter:2 () in
+  let serial, _ = run_grids ~engine:P.Engine_vector ~target:P.Serial src in
+  let dir = fresh_dir () in
+  let ctx mode =
+    N.create ~cache:(Cache.create ~dir ~version:N.format_version ()) ~mode ()
+  in
+  let cmxs () =
+    List.filter
+      (fun f -> Filename.check_suffix f ".cmxs")
+      (Array.to_list (try Sys.readdir dir with Sys_error _ -> [||]))
+    |> List.sort compare
+  in
+  let p0 = Obs.counter_value c_pending in
+  let cold, stats =
+    run_grids ~native:(ctx N.Async) ~engine:P.Engine_native ~target:(P.Dist 4)
+      src
+  in
+  check_grids ~msg:"async cold" serial cold;
+  Alcotest.(check bool) "ranks ran on vector while building" true
+    (Obs.counter_value c_pending > p0);
+  let s = Option.get stats in
+  let keys = bodies s in
+  Alcotest.(check bool) "a uniform stage was bound" true (keys <> []);
+  let cache = Cache.create ~dir ~version:N.format_version () in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) "shutdown published the stage plugin" true
+        (Cache.find_sidecar cache ~key ~ext:"cmxs" <> None
+        && Cache.read_sidecar cache ~key ~ext:"stamp" <> None))
+    keys;
+  let published = cmxs () in
+  let warm, stats =
+    run_grids ~native:(ctx N.Sync) ~engine:P.Engine_native ~target:(P.Dist 4)
+      src
+  in
+  check_grids ~msg:"warm" serial warm;
+  Alcotest.(check (list string)) "warm ctx compiled nothing" published
+    (cmxs ());
+  let s = Option.get stats in
+  Alcotest.(check (list string)) "same stage bodies" keys (bodies s);
+  List.iter
+    (fun st ->
+      if st.Dk.ss_uniform then
+        Alcotest.(check int) "warm stage runs native"
+          st.Dk.ss_mix.Dk.nm_total st.Dk.ss_mix.Dk.nm_native)
+    s.Dk.ds_stages
+
 let () =
   Alcotest.run "codegen"
     [ ("emit",
@@ -520,4 +698,9 @@ let () =
          Alcotest.test_case "storage arena recycles buffers" `Quick
            test_arena_recycles;
          Alcotest.test_case "tile budget change evicts artifacts" `Quick
-           test_tile_budget_eviction ]) ]
+           test_tile_budget_eviction ]);
+      ("dist",
+       [ Alcotest.test_case "ranks x native bitwise vs serial" `Quick
+           test_dist_native_bitwise;
+         Alcotest.test_case "async build drains and warms" `Quick
+           test_dist_native_async ]) ]

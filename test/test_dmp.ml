@@ -783,7 +783,9 @@ end program residual_probe
    host: none for the residual example at 4 ranks (every stage
    distributes, exchanged or fused), and one per run for a kernel
    reading two planes away in a decomposed dimension (beyond the
-   one-cell halo), matching [ds_fallback_runs] in both cases. *)
+   one-cell halo) and for one reading diagonally across both decomposed
+   dimensions (a corner halo cell the face exchange does not carry),
+   matching [ds_fallback_runs] in every case. *)
 let test_pipeline_dist_fallbacks () =
   let module Dk = Fsc_dmp.Dist_kernel in
   let wide_src =
@@ -813,6 +815,33 @@ program wide_stencil
 end program wide_stencil
 |}
   in
+  let corner_src =
+    {|
+program corner_stencil
+  implicit none
+  integer, parameter :: nx = 6, ny = 8, nz = 8
+  integer :: i, j, k
+  real(kind=8), dimension(0:nx+1, 0:ny+1, 0:nz+1) :: u, r
+
+  do k = 0, nz + 1
+    do j = 0, ny + 1
+      do i = 0, nx + 1
+        u(i, j, k) = 0.01d0 * dble(i) + 0.02d0 * dble(j) * dble(k)
+        r(i, j, k) = 0.0d0
+      end do
+    end do
+  end do
+
+  do k = 1, nz
+    do j = 1, ny
+      do i = 1, nx
+        r(i, j, k) = u(i, j+1, k-1) + u(i, j-1, k+1)
+      end do
+    end do
+  end do
+end program corner_stencil
+|}
+  in
   let fallbacks = Fsc_obs.Obs.counter "dmp.fallbacks" in
   with_counters @@ fun () ->
   let host_runs ~label ~grid src =
@@ -836,7 +865,9 @@ end program wide_stencil
   Alcotest.(check int) "residual: no host fallbacks" 0
     (host_runs ~label:"residual" ~grid:"u" (B.residual ()));
   Alcotest.(check bool) "wide stencil: runs on the host" true
-    (host_runs ~label:"wide" ~grid:"r" wide_src > 0)
+    (host_runs ~label:"wide" ~grid:"r" wide_src > 0);
+  Alcotest.(check bool) "corner stencil: runs on the host" true
+    (host_runs ~label:"corner" ~grid:"r" corner_src > 0)
 
 (* A grid too small for the rank count must fail with the located
    decomposition diagnostic, not a degenerate layout or a crash. *)

@@ -269,6 +269,43 @@ let prop_openmp_matches_reference =
       P.shutdown a;
       ok)
 
+(* The distributed target on the native engine: rank-uniform stages run
+   one shared plugin, the rest per-rank vector runners, 1-D programs on
+   the host. Both rank counts must reproduce the naive FIR reference
+   bitwise. Generated extents (5..9) split evenly at some rank counts
+   and unevenly at others, so both kinds of stage occur. *)
+let prop_dist_native_matches_reference =
+  QCheck.Test.make
+    ~name:"random programs: dist(3|4) on native == naive FIR, bitwise"
+    ~count:12 (QCheck.make gen_program) (fun p ->
+      let src = program_to_fortran p in
+      let outs = List.map (fun nst -> nst.n_out) p.p_nests in
+      let reference = P.flang_only src in
+      P.run reference;
+      let agrees ranks =
+        let a, _ =
+          P.stencil ~target:(P.Dist ranks) ~engine:P.Engine_native
+            ~native:(Lazy.force native_ctx) src
+        in
+        P.run a;
+        let ok =
+          List.for_all
+            (fun name ->
+              Rt.max_abs_diff (P.buffer_exn reference name)
+                (P.buffer_exn a name)
+              = 0.0)
+            outs
+        in
+        P.shutdown a;
+        ok
+      in
+      let bad = List.filter (fun r -> not (agrees r)) [ 3; 4 ] in
+      if bad <> [] then
+        QCheck.Test.fail_reportf "dist ranks [%s] differ for program:\n%s"
+          (String.concat ", " (List.map string_of_int bad))
+          src;
+      true)
+
 (* discovery must fire on every generated nest (they are all valid
    stencils by construction) *)
 let prop_all_nests_discovered =
@@ -291,4 +328,5 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_pipeline_matches_reference;
            prop_openmp_matches_reference;
+           prop_dist_native_matches_reference;
            prop_all_nests_discovered ]) ]
