@@ -93,27 +93,11 @@ ROOT=$(pwd)
 BENCHDIR=$(mktemp -d)
 if ! (cd "$BENCHDIR" && "$ROOT/_build/default/bench/main.exe" \
     --kernels-only --quick); then
-  echo "ci: kernels bench failed (engine mismatch or vector < closure)"
+  echo "ci: kernels bench failed (engine mismatch or a tier slower than the one below)"
   rm -rf "$BENCHDIR"
   exit 1
 fi
-if ! [ -s "$BENCHDIR/BENCH_kernels.json" ] \
-    || ! grep -q '"speedups"' "$BENCHDIR/BENCH_kernels.json"; then
-  echo "ci: BENCH_kernels.json missing or malformed"
-  rm -rf "$BENCHDIR"
-  exit 1
-fi
-# When a toolchain is present the bench also lands its scheduling
-# section (serial and pooled native points, bitwise vs closure, with
-# the expected fusion kind reported per stencil) — a bench exit of 0
-# above means those gates passed; CI just re-checks the section landed.
-if grep -q '"native_over_vector"' "$BENCHDIR/BENCH_kernels.json" \
-    && ! grep -q '"scheduling"' "$BENCHDIR/BENCH_kernels.json"; then
-  echo "ci: kernels bench ran native but landed no scheduling section"
-  rm -rf "$BENCHDIR"
-  exit 1
-fi
-echo "bench smoke: BENCH_kernels.json well-formed, vector >= closure"
+echo "bench smoke: kernels bench gates passed"
 rm -rf "$BENCHDIR"
 
 # Native JIT smoke: a cold run must compile plugins (reporting their
@@ -306,10 +290,9 @@ fi
 rm -rf "$CBDIR"
 echo "concurrent batch smoke: $ncopies PW copies on 2 workers match 1 worker exactly"
 
-# The dist bench self-validates (strong-scaling traffic present, the
-# 8-rank point within the stated factor of the Net_model projection,
-# coalescing cutting messages by the swap-set size) and exits nonzero
-# on any violation; CI only re-checks the sections landed in the file.
+# The dist bench gates itself (strong-scaling halo traffic present, the
+# vector engine used, the 8-rank point within the stated factor of the
+# Net_model projection) and exits nonzero on any violation.
 DISTDIR=$(mktemp -d)
 if ! (cd "$DISTDIR" && "$ROOT/_build/default/bench/main.exe" \
     --dist --quick); then
@@ -317,16 +300,7 @@ if ! (cd "$DISTDIR" && "$ROOT/_build/default/bench/main.exe" \
   rm -rf "$DISTDIR"
   exit 1
 fi
-if ! [ -s "$DISTDIR/BENCH_dmp.json" ] \
-    || ! grep -q '"projected"' "$DISTDIR/BENCH_dmp.json" \
-    || ! grep -q '"model_gate"' "$DISTDIR/BENCH_dmp.json" \
-    || ! grep -q '"coalescing"' "$DISTDIR/BENCH_dmp.json" \
-    || ! grep -q '"footprint_staling"' "$DISTDIR/BENCH_dmp.json"; then
-  echo "ci: BENCH_dmp.json missing or malformed"
-  rm -rf "$DISTDIR"
-  exit 1
-fi
-echo "dist bench smoke: BENCH_dmp.json well-formed and self-validated"
+echo "dist bench smoke: dist bench gates passed"
 rm -rf "$DISTDIR"
 
 # Serve smoke: a live `sfc serve` instance must answer three concurrent
@@ -394,27 +368,5 @@ printf '{"action": "shutdown"}\n' >"$SRVDIR/shutdown.jsonl"
 wait "$SRVPID"
 echo "serve smoke: 3 concurrent clients x $srv_njobs jobs match serial, metrics well-formed, clean shutdown"
 rm -rf "$SRVDIR"
-
-# The serve bench self-validates (>= 4 saturation points, percentiles,
-# shed rate, ok results bitwise equal to a serial reference) and exits
-# nonzero on any violation; CI re-checks the sections landed.
-SERVEDIR=$(mktemp -d)
-if ! (cd "$SERVEDIR" && "$ROOT/_build/default/bench/main.exe" \
-    --serve --quick); then
-  echo "ci: serve bench failed its own validation gate"
-  rm -rf "$SERVEDIR"
-  exit 1
-fi
-if ! [ -s "$SERVEDIR/BENCH_serve.json" ] \
-    || ! grep -q '"saturation"' "$SERVEDIR/BENCH_serve.json" \
-    || ! grep -q '"p99_ms"' "$SERVEDIR/BENCH_serve.json" \
-    || ! grep -q '"shed_rate"' "$SERVEDIR/BENCH_serve.json" \
-    || ! grep -q '"warm_hit_ratio"' "$SERVEDIR/BENCH_serve.json"; then
-  echo "ci: BENCH_serve.json missing or malformed"
-  rm -rf "$SERVEDIR"
-  exit 1
-fi
-echo "serve bench smoke: BENCH_serve.json well-formed and self-validated"
-rm -rf "$SERVEDIR"
 
 echo "ci: OK"

@@ -21,10 +21,6 @@ let create_cache ?mem_entries ?disk ?dir ?max_disk_bytes () =
 let key cache (options : P.options) src =
   Cache.digest cache
     [ "target:" ^ P.target_kind options.P.opt_target;
-      "tiles:"
-      ^ String.concat "," (List.map string_of_int options.P.opt_tile_sizes);
-      "merge:" ^ string_of_bool options.P.opt_merge;
-      "specialize:" ^ string_of_bool options.P.opt_specialize;
       (* the cache budget shapes the cpu_tile annotations baked into the
          stencil IR, so it is part of the artifact's identity (the
          execution engine, by contrast, is link-time state) *)

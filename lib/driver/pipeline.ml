@@ -360,17 +360,15 @@ type stencil_stats = {
 
 type options = {
   opt_target : target;
-  opt_tile_sizes : int list;
-  opt_merge : bool;
-  opt_specialize : bool;
   opt_l2_kb : int; (* per-core cache budget for CPU tile annotation *)
 }
 
-let default_options ?(target = Serial) ?(tile_sizes = [ 32; 32; 1 ])
-    ?(merge = true) ?(specialize = true)
-    ?(l2_kb = Fsc_perf.Machine.host_cache.Fsc_perf.Machine.ch_l2_kb) () =
-  { opt_target = target; opt_tile_sizes = tile_sizes; opt_merge = merge;
-    opt_specialize = specialize; opt_l2_kb = l2_kb }
+let default_options ?(target = Serial) () =
+  { opt_target = target;
+    opt_l2_kb = Fsc_perf.Machine.host_cache.Fsc_perf.Machine.ch_l2_kb }
+
+(* GPU pipeline tiling: the paper's Listing 4 *)
+let gpu_tile_sizes = [ 32; 32; 1 ]
 
 type compiled_artifact = {
   ca_host : Op.op;
@@ -394,9 +392,7 @@ let is_stencil_kernel n =
 
 (* The pure front half of the paper's Figure 1: everything from source
    text to lowered modules. No runtime state is created here, so the
-   result can be printed, cached and re-linked at will. [opt_merge] and
-   [opt_specialize] exist for the ablation studies: disabling them
-   leaves the rest of the pipeline untouched. *)
+   result can be printed, cached and re-linked at will. *)
 let compile options src =
   ensure_registered ();
   let target = options.opt_target in
@@ -404,10 +400,7 @@ let compile options src =
   let m = stage "frontend" (fun () -> Fsc_fortran.Flower.compile_source src) in
   (* 2. xDSL side: discover + merge on the mixed module *)
   let dstats = stage "discovery" (fun () -> Fsc_core.Discovery.run m) in
-  let merged =
-    stage "merge" (fun () ->
-        if options.opt_merge then Fsc_core.Merge.run m else 0)
-  in
+  let merged = stage "merge" (fun () -> Fsc_core.Merge.run m) in
   stage "verify" (fun () -> Verifier.verify_exn m);
   (* 3. extract stencil sections into their own module *)
   let ex = stage "extraction" (fun () -> Fsc_core.Extraction.run m) in
@@ -436,9 +429,8 @@ let compile options src =
       ignore (Fsc_transforms.Canonicalize.run stencil_m));
   (match target with
   | Serial | Openmp _ | Dist _ ->
-    if options.opt_specialize then
-      stage "loop specialisation" (fun () ->
-          ignore (Fsc_lowering.Loop_specialize.run stencil_m))
+    stage "loop specialisation" (fun () ->
+        ignore (Fsc_lowering.Loop_specialize.run stencil_m))
   | Gpu _ -> ());
   (* keep a pre-GPU-pipeline copy for compiled execution; the Listing 4
      pipeline output is produced alongside for inspection/verification *)
@@ -448,8 +440,7 @@ let compile options src =
       stage "gpu pipeline (Listing 4)" (fun () ->
           let clone = Op.clone stencil_m in
           ignore
-            (Fsc_lowering.Gpu_pipeline.run ~tile_sizes:options.opt_tile_sizes
-               clone);
+            (Fsc_lowering.Gpu_pipeline.run ~tile_sizes:gpu_tile_sizes clone);
           Some clone)
     | _ -> None
   in
@@ -558,8 +549,8 @@ let link ?(engine = Engine_vector) ?native ca =
    kernel-name counter for reproducible names — which is why [compile]
    (callable concurrently from server workers) does not: a reset racing
    another in-flight compile could hand out duplicate names. *)
-let stencil ?target ?tile_sizes ?merge ?specialize ?engine ?native src =
-  let options = default_options ?target ?tile_sizes ?merge ?specialize () in
+let stencil ?target ?engine ?native src =
+  let options = default_options ?target () in
   Fsc_core.Extraction.reset_name_counter ();
   let ca = compile options src in
   (link ?engine ?native ca, ca.ca_stats)

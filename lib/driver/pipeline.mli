@@ -102,22 +102,12 @@ type stencil_stats = {
     artifact's identity. *)
 type options = {
   opt_target : target;
-  opt_tile_sizes : int list;  (** GPU pipeline tiling (paper: 32,32,1) *)
-  opt_merge : bool;  (** ablation: stencil merging *)
-  opt_specialize : bool;  (** ablation: loop specialisation *)
   opt_l2_kb : int;
       (** per-core cache budget (KB) driving the ["cpu_tile"] nest
-          annotations the vector engine blocks by *)
+          annotations the vector engine blocks by; the host's L2 *)
 }
 
-val default_options :
-  ?target:target ->
-  ?tile_sizes:int list ->
-  ?merge:bool ->
-  ?specialize:bool ->
-  ?l2_kb:int ->
-  unit ->
-  options
+val default_options : ?target:target -> unit -> options
 
 (** The pure, serializable half of a stencil compilation: IR modules and
     metadata only — no interpreter context, no domain pool, no GPU
@@ -183,15 +173,9 @@ val link :
   compiled_artifact ->
   artifact
 
-(** The full stencil pipeline: {!compile} then {!link}. [merge] and
-    [specialize] default to [true] and exist for ablation studies;
-    [tile_sizes] parameterises the GPU pipeline (paper default
-    32,32,1). *)
+(** The full stencil pipeline: {!compile} then {!link}. *)
 val stencil :
   ?target:target ->
-  ?tile_sizes:int list ->
-  ?merge:bool ->
-  ?specialize:bool ->
   ?engine:exec_engine ->
   ?native:Fsc_codegen.Native.ctx ->
   string ->

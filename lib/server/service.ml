@@ -456,18 +456,25 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
   List.iter
     (fun (id, weight) -> Scheduler.configure_client sched ~id ~weight ())
     client_weights;
+  (* clients take the socket path's existence as readiness, and [bind]
+     creates the file before [listen] accepts: bind a sibling name and
+     rename it into place once listening *)
+  let binding = socket ^ ".tmp" in
   remove_if_exists socket;
+  remove_if_exists binding;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let stop = Atomic.make false in
   let conn_seq = Atomic.make 0 in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
+      remove_if_exists binding;
       remove_if_exists socket;
       Scheduler.shutdown sched)
     (fun () ->
-      Unix.bind fd (Unix.ADDR_UNIX socket);
+      Unix.bind fd (Unix.ADDR_UNIX binding);
       Unix.listen fd 64;
+      Unix.rename binding socket;
       (* one dummy connection per handler: unblocks every accept so the
          pool can observe [stop] and exit *)
       let wake_accepts () =

@@ -133,7 +133,9 @@ val run_batch :
     [idle_timeout_s] disconnects (and cancels) a client that sends no
     complete line for that long. Returns after a client sends a
     shutdown line (the scheduler is drained and the socket file
-    removed). Any stale socket file at [socket] is replaced. When a
+    removed). Any stale socket file at [socket] is replaced; the path
+    appears only once the server is listening, so its existence means a
+    connect will be accepted. When a
     [cache] is given its disk store is swept (orphaned temp files
     removed, byte budget enforced) before serving. *)
 val serve :

@@ -418,7 +418,9 @@ let test_default_schedule () =
       ("laplace", B.laplace ~n:12 ~niter:3 (), [ "phi" ],
        "fused 2 nests (shift d=1)");
       ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ],
-       "x4-unrolled") ]
+       "x4-unrolled");
+      ("smooth", B.smooth ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "rs"; "d" ],
+       "fused 2 nests (2 aligned)") ]
 
 (* ---- storage arena ----
 

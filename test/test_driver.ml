@@ -113,26 +113,6 @@ let test_all_kernels_compiled () =
         Alcotest.failf "%s fell back to the interpreter: %s" name reason)
     a.P.a_kernels
 
-let test_ablation_flags () =
-  (* disabling merge/specialisation changes the pipeline, never the
-     answer *)
-  let a_ref = P.flang_only pw_src in
-  P.run a_ref;
-  let check_flags ~merge ~specialize =
-    let a, st = P.stencil ~target:P.Serial ~merge ~specialize pw_src in
-    if not merge then
-      Alcotest.(check int) "no merges when disabled" 0 st.P.st_merged;
-    P.run a;
-    List.iter
-      (fun name ->
-        Alcotest.(check (float 0.)) (name ^ " unchanged") 0.0
-          (Rt.max_abs_diff (P.buffer_exn a_ref name) (P.buffer_exn a name)))
-      [ "su"; "sv"; "sw" ]
-  in
-  check_flags ~merge:false ~specialize:true;
-  check_flags ~merge:true ~specialize:false;
-  check_flags ~merge:false ~specialize:false
-
 (* A failing pass must surface its name and keep the stats recorded up
    to and including the failure — the debuggability contract the
    observability layer depends on. *)
@@ -263,7 +243,6 @@ let () =
        [ Alcotest.test_case "stencil counts" `Quick test_stencil_counts;
          Alcotest.test_case "all kernels compiled" `Quick
            test_all_kernels_compiled;
-         Alcotest.test_case "ablation flags" `Quick test_ablation_flags;
          Alcotest.test_case "failed pass preserves stats" `Quick
            test_failed_pass_preserves_stats;
          Alcotest.test_case "gpu IR artifact" `Quick test_gpu_ir_artifact ]);

@@ -32,7 +32,7 @@ let test_pw_fusion () =
 let test_fusion_semantics_preserved () =
   (* executing with and without merging gives identical results *)
   let src = Fsc_driver.Benchmarks.pw_advection ~nx:6 ~ny:6 ~nz:6 ~niter:2 () in
-  let run ~merge =
+  let run merge =
     Fsc_core.Extraction.reset_name_counter ();
     let m = Fsc_fortran.Flower.compile_source src in
     ignore (Fsc_core.Discovery.run m);
@@ -48,7 +48,7 @@ let test_fusion_semantics_preserved () =
       (fun n -> List.assoc n ctx.Fsc_rt.Interp.named_buffers)
       [ "su"; "sv"; "sw" ]
   in
-  let with_merge = run ~merge:true and without = run ~merge:false in
+  let with_merge = run true and without = run false in
   List.iter2
     (fun a b ->
       Alcotest.(check (float 0.)) "identical grids" 0.

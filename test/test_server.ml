@@ -422,10 +422,11 @@ let start_server ?cache ?(workers = 2) ?handlers ?queue_capacity
         Svc.serve ?cache ~workers ?handlers ?queue_capacity ?default_quota
           ~socket ())
   in
-  (* wait for the socket to appear *)
+  (* wait for the socket to appear, polling tightly so a client connects
+     as early as the path allows *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.005
+    Domain.cpu_relax ()
   done;
   (socket, server)
 
@@ -576,6 +577,19 @@ let test_serve_survives_vanishing_client () =
     (str_of (field "status" (List.hd replies)));
   stop_server socket server
 
+(* The socket path is the readiness signal: once it exists, a raw
+   connect must succeed. Binding creates the file before [listen], so
+   the server publishes the path only once it is listening. *)
+let test_serve_socket_ready_on_appear () =
+  for _ = 1 to 25 do
+    let socket, server = start_server ~workers:1 ~handlers:1 () in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> Unix.connect fd (Unix.ADDR_UNIX socket));
+    stop_server socket server
+  done
+
 let () =
   Alcotest.run "server"
     [ ( "scheduler",
@@ -611,5 +625,7 @@ let () =
           Alcotest.test_case "overload shed" `Quick test_serve_overload_shed;
           Alcotest.test_case "quota exceeded" `Quick
             test_serve_quota_exceeded;
+          Alcotest.test_case "socket ready when it appears" `Quick
+            test_serve_socket_ready_on_appear;
           Alcotest.test_case "survives vanishing client" `Quick
             test_serve_survives_vanishing_client ] ) ]
